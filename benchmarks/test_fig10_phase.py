@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.experiments import fig10_phase
+from repro.experiments import fig10_phase, registry
 
 
 @pytest.fixture(scope="module")
 def result(runtime):
-    return fig10_phase.run(n_trials=30, seed=0, runtime=runtime)
+    return registry.run_experiment(
+        "fig10_phase", n_trials=30, seed=0, runtime=runtime
+    ).result
 
 
 def test_fig10_regeneration(benchmark, result, save_report, runtime):
     out = benchmark.pedantic(
-        lambda: fig10_phase.run(n_trials=6, seed=2, runtime=runtime),
+        lambda: registry.run_experiment(
+            "fig10_phase", n_trials=6, seed=2, runtime=runtime
+        ).result,
         rounds=1,
         iterations=1,
     )

@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.experiments import fig11_range
+from repro.experiments import fig11_range, registry
 
 
 @pytest.fixture(scope="module")
 def result(runtime):
-    return fig11_range.run(trials_per_point=200, seed=0, runtime=runtime)
+    return registry.run_experiment(
+        "fig11_range", trials_per_point=200, seed=0, runtime=runtime
+    ).result
 
 
 def test_fig11_regeneration(benchmark, result, save_report, runtime):
     out = benchmark.pedantic(
-        lambda: fig11_range.run(trials_per_point=50, seed=1, runtime=runtime),
+        lambda: registry.run_experiment(
+            "fig11_range", trials_per_point=50, seed=1, runtime=runtime
+        ).result,
         rounds=1,
         iterations=1,
     )

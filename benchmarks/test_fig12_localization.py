@@ -3,21 +3,25 @@
 import numpy as np
 import pytest
 
-from repro.experiments import fig12_localization
+from repro.experiments import fig12_localization, registry
 from repro.sim.results import percentile
 
 
 @pytest.fixture(scope="module")
 def result(runtime):
     # 60 trials keep the bench under a minute; the full 100-trial run
-    # (python -m repro.experiments.fig12_localization) matches within
-    # a couple of centimeters.
-    return fig12_localization.run(n_trials=60, seed=0, runtime=runtime)
+    # (python -m repro.experiments run fig12) matches within a couple
+    # of centimeters.
+    return registry.run_experiment(
+        "fig12_localization", n_trials=60, seed=0, runtime=runtime
+    ).result
 
 
 def test_fig12_regeneration(benchmark, result, save_report, runtime):
     out = benchmark.pedantic(
-        lambda: fig12_localization.run(n_trials=5, seed=3, runtime=runtime),
+        lambda: registry.run_experiment(
+            "fig12_localization", n_trials=5, seed=3, runtime=runtime
+        ).result,
         rounds=1,
         iterations=1,
     )

@@ -3,19 +3,25 @@
 import numpy as np
 import pytest
 
-from repro.experiments import fig13_aperture
+from repro.experiments import fig13_aperture, registry
 
 
 @pytest.fixture(scope="module")
 def result(runtime):
-    return fig13_aperture.run(trials_per_point=15, seed=0, runtime=runtime)
+    return registry.run_experiment(
+        "fig13_aperture", trials_per_point=15, seed=0, runtime=runtime
+    ).result
 
 
 def test_fig13_regeneration(benchmark, result, save_report, runtime):
     out = benchmark.pedantic(
-        lambda: fig13_aperture.run(
-            apertures_m=(0.5, 2.5), trials_per_point=3, seed=4, runtime=runtime
-        ),
+        lambda: registry.run_experiment(
+            "fig13_aperture",
+            apertures_m=(0.5, 2.5),
+            trials_per_point=3,
+            seed=4,
+            runtime=runtime,
+        ).result,
         rounds=1,
         iterations=1,
     )

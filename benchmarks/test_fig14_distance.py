@@ -3,20 +3,26 @@
 import numpy as np
 import pytest
 
-from repro.experiments import fig14_distance
+from repro.experiments import fig14_distance, registry
 from repro.sim.results import percentile
 
 
 @pytest.fixture(scope="module")
 def result(runtime):
-    return fig14_distance.run(trials_per_point=10, seed=0, runtime=runtime)
+    return registry.run_experiment(
+        "fig14_distance", trials_per_point=10, seed=0, runtime=runtime
+    ).result
 
 
 def test_fig14_regeneration(benchmark, result, save_report, runtime):
     out = benchmark.pedantic(
-        lambda: fig14_distance.run(
-            distances_m=(5.0, 55.0), trials_per_point=3, seed=5, runtime=runtime
-        ),
+        lambda: registry.run_experiment(
+            "fig14_distance",
+            distances_m=(5.0, 55.0),
+            trials_per_point=3,
+            seed=5,
+            runtime=runtime,
+        ).result,
         rounds=1,
         iterations=1,
     )

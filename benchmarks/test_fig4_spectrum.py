@@ -2,17 +2,21 @@
 
 import pytest
 
-from repro.experiments import fig4_spectrum
+from repro.experiments import fig4_spectrum, registry
 
 
 @pytest.fixture(scope="module")
 def result(runtime):
-    return fig4_spectrum.run(seed=0, runtime=runtime)
+    return registry.run_experiment(
+        "fig4_spectrum", seed=0, runtime=runtime
+    ).result
 
 
 def test_fig4_regeneration(benchmark, result, save_report, runtime):
     out = benchmark.pedantic(
-        lambda: fig4_spectrum.run(seed=1, runtime=runtime),
+        lambda: registry.run_experiment(
+            "fig4_spectrum", seed=1, runtime=runtime
+        ).result,
         rounds=1,
         iterations=1,
     )

@@ -2,17 +2,21 @@
 
 import pytest
 
-from repro.experiments import fig6_heatmap
+from repro.experiments import fig6_heatmap, registry
 
 
 @pytest.fixture(scope="module")
 def result(runtime):
-    return fig6_heatmap.run(seed=0, runtime=runtime)
+    return registry.run_experiment(
+        "fig6_heatmap", seed=0, runtime=runtime
+    ).result
 
 
 def test_fig6_regeneration(benchmark, result, save_report, runtime):
     out = benchmark.pedantic(
-        lambda: fig6_heatmap.run(seed=1, runtime=runtime),
+        lambda: registry.run_experiment(
+            "fig6_heatmap", seed=1, runtime=runtime
+        ).result,
         rounds=1,
         iterations=1,
     )
@@ -44,9 +48,9 @@ def test_fig6_heatmap_peak_near_tag_los(result):
     peak_position = heatmap.argmax_position()
     import numpy as np
 
-    from repro.sim.scenarios import los_heatmap_scenario
+    from repro.scenarios.trials import heatmap_trial
 
-    tag = los_heatmap_scenario(0).tag_position
+    tag = heatmap_trial("los_aisle", 0).tag_position
     assert float(np.linalg.norm(peak_position - tag)) < 0.15
 
 

@@ -3,18 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.experiments import fig9_isolation
+from repro.experiments import fig9_isolation, registry
 from repro.relay.self_interference import LeakagePath
 
 
 @pytest.fixture(scope="module")
 def result(runtime):
-    return fig9_isolation.run(n_trials=40, seed=0, runtime=runtime)
+    return registry.run_experiment(
+        "fig9_isolation", n_trials=40, seed=0, runtime=runtime
+    ).result
 
 
 def test_fig9_regeneration(benchmark, result, save_report, runtime):
     out = benchmark.pedantic(
-        lambda: fig9_isolation.run(n_trials=10, seed=1, runtime=runtime),
+        lambda: registry.run_experiment(
+            "fig9_isolation", n_trials=10, seed=1, runtime=runtime
+        ).result,
         rounds=1,
         iterations=1,
     )

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.experiments import fig12_localization, fig13_aperture
+from repro.experiments import fig12_localization, fig13_aperture, registry
 from repro.runtime import RuntimeConfig
 
 from benchmarks.conftest import MANIFESTS_DIR
@@ -31,14 +31,20 @@ FIG13_TRIALS_PER_POINT = 4
 def _campaigns():
     return {
         "fig12": lambda runtime: fig12_localization.format_result(
-            fig12_localization.run(
-                n_trials=FIG12_TRIALS, seed=0, runtime=runtime
-            )
+            registry.run_experiment(
+                "fig12_localization",
+                n_trials=FIG12_TRIALS,
+                seed=0,
+                runtime=runtime,
+            ).result
         ).report(),
         "fig13": lambda runtime: fig13_aperture.format_result(
-            fig13_aperture.run(
-                trials_per_point=FIG13_TRIALS_PER_POINT, seed=0, runtime=runtime
-            )
+            registry.run_experiment(
+                "fig13_aperture",
+                trials_per_point=FIG13_TRIALS_PER_POINT,
+                seed=0,
+                runtime=runtime,
+            ).result
         ).report(),
     }
 

@@ -17,7 +17,8 @@ import pytest
 
 from repro.constants import UHF_CENTER_FREQUENCY
 from repro.experiments import registry, serve_bench
-from repro.serve import ServeConfig, generate_workload, run_workload
+from repro.scenarios.compiler import generate_workload
+from repro.serve import ServeConfig, run_workload
 
 pytestmark = [pytest.mark.bench, pytest.mark.slow]
 
@@ -36,7 +37,9 @@ SEED = 0
 
 
 def _replay(load: float):
-    workload = generate_workload(n_tags=N_TAGS, seed=SEED, load=load)
+    workload = generate_workload(
+        "conveyor_flow_through", n_tags=N_TAGS, seed=SEED, load=load
+    )
     config = ServeConfig(
         frequency_hz=UHF_CENTER_FREQUENCY, latency_slo_s=LATENCY_SLO_S
     )

@@ -30,7 +30,8 @@ from repro.constants import UHF_CENTER_FREQUENCY
 from repro.localization.batched import PoseBlock, fold_blocks
 from repro.localization.grid import Grid2D
 from repro.localization.incremental import IncrementalSar
-from repro.serve import ServeConfig, generate_workload
+from repro.scenarios.compiler import generate_workload
+from repro.serve import ServeConfig
 from repro.serve.shard import ShardConfig, run_sharded_workload
 
 pytestmark = [pytest.mark.bench, pytest.mark.slow]
@@ -121,7 +122,10 @@ def _ingest_point(resolution: float) -> dict:
 def scale_record():
     ingest = [_ingest_point(resolution) for resolution in CURVE_RESOLUTIONS]
     workload = generate_workload(
-        n_tags=SHARD_N_TAGS, seed=SEED, load=SHARD_LOAD
+        "conveyor_flow_through",
+        n_tags=SHARD_N_TAGS,
+        seed=SEED,
+        load=SHARD_LOAD,
     )
     config = ServeConfig(
         frequency_hz=UHF_CENTER_FREQUENCY,

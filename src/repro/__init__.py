@@ -25,7 +25,10 @@ Top-level layout
 ``repro.localization``
     Through-relay phase disentanglement and the SAR solver.
 ``repro.sim``
-    End-to-end world simulation and canned scenarios.
+    End-to-end world simulation, scan events, and result statistics.
+``repro.scenarios``
+    Declarative scenario specs, the world compiler, and the per-trial
+    builders the figure experiments consume.
 ``repro.experiments``
     Runners that regenerate every figure of the paper's evaluation.
 """

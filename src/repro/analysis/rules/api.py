@@ -102,11 +102,10 @@ class ExperimentsBypassScenarioRegistry(Rule):
 
     Geometry and traffic under ``repro/experiments/`` must come from a
     named scenario spec — hand-building world objects (environments,
-    measurement models, trajectories, grids, tag placements) or calling
-    the legacy ``serve.traffic`` generator / deprecated ``sim.scenarios``
-    builders inline bypasses the registry, so the run is no longer
-    reproducible from a spec name. Grandfathered sites live in the
-    checked-in reprolint baseline and must ratchet down, not up.
+    measurement models, trajectories, grids, tag placements) inline
+    bypasses the registry, so the run is no longer reproducible from a
+    spec name. Grandfathered sites live in the checked-in reprolint
+    baseline and must ratchet down, not up.
     """
 
     code = "A406"
@@ -124,12 +123,6 @@ class ExperimentsBypassScenarioRegistry(Rule):
             ("repro.mobility", "LineTrajectory"),
             ("repro.hardware.tag", "PassiveTag"),
             ("repro.hardware", "PassiveTag"),
-            ("repro.serve.traffic", "generate_workload"),
-            ("repro.sim.scenarios", "los_heatmap_scenario"),
-            ("repro.sim.scenarios", "multipath_heatmap_scenario"),
-            ("repro.sim.scenarios", "fig12_trial"),
-            ("repro.sim.scenarios", "aperture_microbenchmark"),
-            ("repro.sim.scenarios", "distance_microbenchmark"),
         }
     )
 
@@ -180,11 +173,11 @@ class ExperimentsBypassScenarioRegistry(Rule):
             parts.reverse()
             dotted_module = ".".join(parts[:-1])
             if dotted_module in module_aliases:
-                # plain `import repro.serve.traffic` binds the full path
+                # plain `import repro.localization.grid` binds the full path
                 return (module_aliases[dotted_module], parts[-1])
             head = module_aliases.get(parts[0])
             if head is None and parts[0] in from_imports:
-                # `from repro.serve import traffic; traffic.generate_workload`
+                # `from repro.localization import grid; grid.Grid2D`
                 mod, name = from_imports[parts[0]]
                 head = f"{mod}.{name}"
             if head is None:

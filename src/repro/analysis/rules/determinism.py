@@ -3,9 +3,9 @@
 Every figure reproduction must regenerate bit-identically from its
 seed, so library code never owns hidden randomness: RNGs are injected
 as ``np.random.Generator`` instances seeded by the caller (the
-convention established in ``repro/sim/scenarios.py``), and fallbacks
-derive from a documented fixed seed. These rules ban the three ways
-nondeterminism has historically crept in.
+convention of the trial builders in ``repro/scenarios/trials.py``), and
+fallbacks derive from a documented fixed seed. These rules ban the
+three ways nondeterminism has historically crept in.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Experiment runners that regenerate every figure of the paper.
 
-Each module exposes ``run(...)`` returning a structured result and a
-``format_result(...)`` that renders the paper-comparable table. The
-``benchmarks/`` tree drives these under pytest-benchmark; they can also
-be run directly: ``python -m repro.experiments.fig12_localization``.
+Each module supplies the pure ``build_tasks``/``reduce`` pair that a
+:mod:`repro.experiments.registry` spec runs and renders as
+paper-comparable tables. The ``benchmarks/`` tree drives them under
+pytest-benchmark through
+:func:`~repro.experiments.registry.run_experiment`; from the command
+line, ``python -m repro.experiments run fig12_localization``.
 """
 
 from __future__ import annotations

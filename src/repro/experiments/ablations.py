@@ -17,16 +17,14 @@ without it:
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.constants import UHF_CENTER_FREQUENCY
-from repro.dsp.units import db_to_linear
 from repro.errors import ConfigurationError
 from repro.experiments.runner import ExperimentOutput, fmt
-from repro.localization import Localizer, disentangle_series, multires_locate
+from repro.localization import Localizer
 from repro.localization.measurement import ThroughRelayMeasurement
 from repro.relay.isolation import measure_isolation_db
 from repro.relay.mirrored import MirroredRelay, RelayConfig
@@ -530,26 +528,3 @@ def reduce(
         _reduce_matched_filter(slices[3]),
         _reduce_grid_resolution(slices[4], GRID_RESOLUTION_TRIALS),
     ]
-
-
-def run_all(
-    seed: int = 0, runtime: Optional[RuntimeConfig] = None
-) -> List[ExperimentOutput]:
-    """Deprecated shim; use ``repro.experiments.registry`` instead."""
-    warnings.warn(
-        "ablations.run_all() is deprecated; use "
-        "repro.experiments.registry.run_experiment('ablations', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.experiments import registry
-
-    return registry.run_experiment(
-        "ablations", runtime=runtime, seed=seed
-    ).result
-
-
-if __name__ == "__main__":  # pragma: no cover - manual regeneration
-    for output in run_all():
-        print(output.report())
-        print()

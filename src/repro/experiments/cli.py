@@ -193,12 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record per-task peak traced allocations in the manifest",
     )
     parser.add_argument(
-        "--trace-memory",
-        action="store_true",
-        dest="trace_malloc",
-        help="deprecated alias for --trace-malloc",
-    )
-    parser.add_argument(
         "--obs-dir",
         default=None,
         metavar="DIR",

@@ -10,9 +10,8 @@ uniform-random.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Any, List, Mapping, Optional, Sequence
+from typing import Any, List, Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from repro.hardware import ReaderFrontend, Synthesizer
 from repro.reader import Reader
 from repro.relay import MirroredRelay, NoMirrorRelay
 from repro.relay.mirrored import RelayConfig
-from repro.runtime import RuntimeConfig, SweepTask
+from repro.runtime import SweepTask
 from repro.scenarios import registry as scenario_registry
 from repro.scenarios.spec import Scenario
 from repro.scenarios.trials import bench_tag
@@ -179,25 +178,6 @@ def reduce(
     )
 
 
-def run(
-    n_trials: int = 50,
-    seed: int = 0,
-    runtime: Optional[RuntimeConfig] = None,
-) -> Fig10Result:
-    """Deprecated shim; use ``repro.experiments.registry`` instead."""
-    warnings.warn(
-        "fig10_phase.run() is deprecated; use "
-        "repro.experiments.registry.run_experiment('fig10_phase', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.experiments import registry
-
-    return registry.run_experiment(
-        "fig10_phase", runtime=runtime, n_trials=n_trials, seed=seed
-    ).result
-
-
 def format_result(result: Fig10Result) -> ExperimentOutput:
     """Render the Fig. 10 comparison table."""
     rows = []
@@ -230,7 +210,3 @@ def format_result(result: Fig10Result) -> ExperimentOutput:
             "no-mirror": f"median deviation {median_baseline:.1f} deg",
         },
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual regeneration
-    print(format_result(run(n_trials=50, seed=0)).report())

@@ -7,14 +7,13 @@ non-line-of-sight.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.experiments.runner import ExperimentOutput, fmt
-from repro.runtime import RuntimeConfig, SweepTask
+from repro.runtime import SweepTask
 from repro.scenarios import registry as scenario_registry
 from repro.scenarios.spec import Scenario
 from repro.sim.readrate import RangeConfig, RangeModel
@@ -96,32 +95,6 @@ def reduce(
     )
 
 
-def run(
-    distances_m: Sequence[float] = DEFAULT_DISTANCES,
-    trials_per_point: int = 300,
-    seed: int = 0,
-    config: Optional[RangeConfig] = None,
-    runtime: Optional[RuntimeConfig] = None,
-) -> Fig11Result:
-    """Deprecated shim; use ``repro.experiments.registry`` instead."""
-    warnings.warn(
-        "fig11_range.run() is deprecated; use "
-        "repro.experiments.registry.run_experiment('fig11_range', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.experiments import registry
-
-    return registry.run_experiment(
-        "fig11_range",
-        runtime=runtime,
-        distances_m=distances_m,
-        trials_per_point=trials_per_point,
-        seed=seed,
-        config=config,
-    ).result
-
-
 def format_result(result: Fig11Result) -> ExperimentOutput:
     """Render the read-rate table."""
     headers = ["distance (m)", "no relay (%)", "relay LoS (%)", "relay NLoS (%)"]
@@ -156,7 +129,3 @@ def format_result(result: Fig11Result) -> ExperimentOutput:
             "relay NLoS @ 55 m": f"{rate_at('relay_nlos', 55.0):.0f} %",
         },
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual regeneration
-    print(format_result(run()).report())

@@ -7,20 +7,19 @@ reports a 19 cm median and a 53 cm 90th-percentile error.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.constants import UHF_CENTER_FREQUENCY
 from repro.experiments.runner import ExperimentOutput, fmt
 from repro.localization import Localizer
-from repro.runtime import RuntimeConfig, SweepTask
+from repro.runtime import SweepTask
 from repro.scenarios import registry as scenario_registry
 from repro.scenarios.spec import Scenario
 from repro.scenarios.trials import warehouse_trial
-from repro.sim.results import empirical_cdf, percentile, summarize
+from repro.sim.results import empirical_cdf, summarize
 
 
 @dataclass
@@ -73,25 +72,6 @@ def reduce(
     return Fig12Result(errors_m=np.asarray(payloads, dtype=float))
 
 
-def run(
-    n_trials: int = 100,
-    seed: int = 0,
-    runtime: Optional[RuntimeConfig] = None,
-) -> Fig12Result:
-    """Deprecated shim; use ``repro.experiments.registry`` instead."""
-    warnings.warn(
-        "fig12_localization.run() is deprecated; use "
-        "repro.experiments.registry.run_experiment('fig12_localization', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.experiments import registry
-
-    return registry.run_experiment(
-        "fig12_localization", runtime=runtime, n_trials=n_trials, seed=seed
-    ).result
-
-
 def format_result(result: Fig12Result) -> ExperimentOutput:
     """Render the error-distribution table."""
     stats = summarize(result.errors_m)
@@ -115,7 +95,3 @@ def format_result(result: Fig12Result) -> ExperimentOutput:
             "p90": f"{stats.p90:.3f} m",
         },
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual regeneration
-    print(format_result(run(n_trials=100, seed=0)).report())

@@ -8,16 +8,15 @@ from ~22 cm at 0.5 m aperture to <5 cm at 1 m (90th percentile <7 cm at
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.constants import UHF_CENTER_FREQUENCY
 from repro.experiments.runner import ExperimentOutput, fmt
 from repro.localization import Localizer
-from repro.runtime import RuntimeConfig, SweepTask
+from repro.runtime import SweepTask
 from repro.scenarios import registry as scenario_registry
 from repro.scenarios.spec import Scenario
 from repro.scenarios.trials import aperture_trial
@@ -103,30 +102,6 @@ def reduce(
     )
 
 
-def run(
-    apertures_m: Sequence[float] = DEFAULT_APERTURES,
-    trials_per_point: int = 20,
-    seed: int = 0,
-    runtime: Optional[RuntimeConfig] = None,
-) -> Fig13Result:
-    """Deprecated shim; use ``repro.experiments.registry`` instead."""
-    warnings.warn(
-        "fig13_aperture.run() is deprecated; use "
-        "repro.experiments.registry.run_experiment('fig13_aperture', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.experiments import registry
-
-    return registry.run_experiment(
-        "fig13_aperture",
-        runtime=runtime,
-        apertures_m=apertures_m,
-        trials_per_point=trials_per_point,
-        seed=seed,
-    ).result
-
-
 def format_result(result: Fig13Result) -> ExperimentOutput:
     """Render the aperture sweep table."""
     headers = [
@@ -184,7 +159,3 @@ def format_result(result: Fig13Result) -> ExperimentOutput:
             ),
         },
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual regeneration
-    print(format_result(run()).report())

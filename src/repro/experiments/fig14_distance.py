@@ -9,16 +9,15 @@ percentile error grows to 82 cm.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.constants import UHF_CENTER_FREQUENCY
 from repro.experiments.runner import ExperimentOutput, fmt
 from repro.localization import Localizer
-from repro.runtime import RuntimeConfig, SweepTask
+from repro.runtime import SweepTask
 from repro.scenarios import registry as scenario_registry
 from repro.scenarios.spec import Scenario
 from repro.scenarios.trials import distance_trial
@@ -100,30 +99,6 @@ def reduce(
     )
 
 
-def run(
-    distances_m: Sequence[float] = DEFAULT_DISTANCES,
-    trials_per_point: int = 10,
-    seed: int = 0,
-    runtime: Optional[RuntimeConfig] = None,
-) -> Fig14Result:
-    """Deprecated shim; use ``repro.experiments.registry`` instead."""
-    warnings.warn(
-        "fig14_distance.run() is deprecated; use "
-        "repro.experiments.registry.run_experiment('fig14_distance', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.experiments import registry
-
-    return registry.run_experiment(
-        "fig14_distance",
-        runtime=runtime,
-        distances_m=distances_m,
-        trials_per_point=trials_per_point,
-        seed=seed,
-    ).result
-
-
 def format_result(result: Fig14Result) -> ExperimentOutput:
     """Render the distance sweep table."""
     headers = [
@@ -168,7 +143,3 @@ def format_result(result: Fig14Result) -> ExperimentOutput:
             ),
         },
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual regeneration
-    print(format_result(run()).report())

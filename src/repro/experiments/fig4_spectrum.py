@@ -10,19 +10,17 @@ densities, and verifies the separation quantitatively.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Any, List, Mapping, Optional, Sequence
+from typing import Any, List, Mapping, Sequence
 
 import numpy as np
 
-from repro.constants import GEN2_QUERY_BANDWIDTH
 from repro.experiments.runner import ExperimentOutput, fmt
 from repro.gen2.backscatter import MillerEncoder, TagParams
 from repro.gen2.commands import Query
 from repro.gen2.pie import PIEEncoder, ReaderParams
 from repro.dsp.units import linear_to_db
-from repro.runtime import RuntimeConfig, SweepTask
+from repro.runtime import SweepTask
 from repro.scenarios import registry as scenario_registry
 from repro.scenarios.spec import Scenario
 
@@ -145,25 +143,6 @@ def reduce(
     return payloads[0]
 
 
-def run(
-    seed: int = 0,
-    n_fft: int = 1 << 14,
-    runtime: Optional[RuntimeConfig] = None,
-) -> Fig4Result:
-    """Deprecated shim; use ``repro.experiments.registry`` instead."""
-    warnings.warn(
-        "fig4_spectrum.run() is deprecated; use "
-        "repro.experiments.registry.run_experiment('fig4_spectrum', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.experiments import registry
-
-    return registry.run_experiment(
-        "fig4_spectrum", runtime=runtime, seed=seed, n_fft=n_fft
-    ).result
-
-
 def format_result(result: Fig4Result) -> ExperimentOutput:
     """Render the guard-band table."""
     rows = [
@@ -188,7 +167,3 @@ def format_result(result: Fig4Result) -> ExperimentOutput:
             "guard band": f"{result.guard_band_hz / 1e3:.0f} kHz",
         },
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual regeneration
-    print(format_result(run()).report())

@@ -11,9 +11,8 @@ are in the result for plotting.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Any, List, Mapping, Optional, Sequence
+from typing import Any, List, Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from repro.localization import (
     select_nearest_to_trajectory,
 )
 from repro.localization.grid import Heatmap
-from repro.runtime import RuntimeConfig, SweepTask
+from repro.runtime import SweepTask
 from repro.scenarios import registry as scenario_registry
 from repro.scenarios.spec import Scenario
 from repro.scenarios.trials import heatmap_trial
@@ -142,21 +141,6 @@ def reduce(
     return payloads[0]
 
 
-def run(seed: int = 0, runtime: Optional[RuntimeConfig] = None) -> Fig6Result:
-    """Deprecated shim; use ``repro.experiments.registry`` instead."""
-    warnings.warn(
-        "fig6_heatmap.run() is deprecated; use "
-        "repro.experiments.registry.run_experiment('fig6_heatmap', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.experiments import registry
-
-    return registry.run_experiment(
-        "fig6_heatmap", runtime=runtime, seed=seed
-    ).result
-
-
 def format_result(result: Fig6Result) -> ExperimentOutput:
     """Render the two-panel comparison."""
     rows = [
@@ -189,7 +173,3 @@ def format_result(result: Fig6Result) -> ExperimentOutput:
             + ascii_heatmap(result.multipath_heatmap)
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual regeneration
-    print(format_result(run()).report())

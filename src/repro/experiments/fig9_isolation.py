@@ -9,9 +9,8 @@ over the analog relay on every path.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -20,10 +19,10 @@ from repro.relay.analog_baseline import AnalogCoupling, AnalogRelay
 from repro.relay.isolation import measure_all_isolations
 from repro.relay.mirrored import MirroredRelay, RelayConfig
 from repro.relay.self_interference import AntennaCoupling, LeakagePath
-from repro.runtime import RuntimeConfig, SweepTask
+from repro.runtime import SweepTask
 from repro.scenarios import registry as scenario_registry
 from repro.scenarios.spec import Scenario
-from repro.sim.results import empirical_cdf, summarize
+from repro.sim.results import empirical_cdf
 
 PAPER_MEDIANS_DB = {
     LeakagePath.INTER_DOWNLINK: 110.0,
@@ -131,25 +130,6 @@ def reduce(
     )
 
 
-def run(
-    n_trials: int = 100,
-    seed: int = 0,
-    runtime: Optional[RuntimeConfig] = None,
-) -> Fig9Result:
-    """Deprecated shim; use ``repro.experiments.registry`` instead."""
-    warnings.warn(
-        "fig9_isolation.run() is deprecated; use "
-        "repro.experiments.registry.run_experiment('fig9_isolation', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.experiments import registry
-
-    return registry.run_experiment(
-        "fig9_isolation", runtime=runtime, n_trials=n_trials, seed=seed
-    ).result
-
-
 def format_result(result: Fig9Result) -> ExperimentOutput:
     """Render the Fig. 9 medians table and paper comparison."""
     headers = ["leakage path", "RFly median (dB)", "analog median (dB)",
@@ -187,7 +167,3 @@ def format_result(result: Fig9Result) -> ExperimentOutput:
         },
         measured=measured,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual regeneration
-    print(format_result(run(n_trials=100, seed=0)).report())

@@ -20,9 +20,6 @@ Historically every figure module exposed its own ad-hoc
 into :func:`~repro.runtime.run_sweep`, which is how
 ``python -m repro.experiments run <name> --trace --metrics`` attaches
 tracing without the figure modules knowing about it.
-
-The old module-level ``run()`` entry points remain as thin
-deprecation shims delegating here.
 """
 
 from __future__ import annotations

@@ -38,18 +38,16 @@ from repro.channel.pathloss import free_space_path_loss_db
 from repro.errors import ConfigurationError
 from repro.fleet.plan import FleetPlan, RelayPlan, realize_fleet
 from repro.fleet.selection import RelayCandidate, build_policy
+from repro.hardware.tag import PassiveTag
 from repro.localization.measurement import MeasurementModel
 from repro.mobility.groundtruth import OptiTrack
 from repro.mobility.trajectory import TrajectorySample
 from repro.obs import tracing
 from repro.scenarios import registry
-from repro.scenarios.compiler import (
-    build_grid,
-    build_measurement_model,
-    realize_world,
-    resolve_snr_db,
-)
+from repro.scenarios.compiler import build_grid, realize_world, resolve_snr_db
 from repro.scenarios.spec import Scenario
+from repro.serve.traffic import TrafficWorkload, UpdateEvent
+from repro.sim import events
 
 
 def _relay_model(
@@ -99,17 +97,13 @@ def generate_fleet_workload(
     use_gen2_mac: Optional[bool] = None,
     powering_range_m: Optional[float] = None,
     tracker: Optional[OptiTrack] = None,
-) -> Any:
+) -> TrafficWorkload:
     """Lower a fleet scenario to a replayable, relay-tagged read stream.
 
     Mirrors :func:`repro.scenarios.compiler.generate_workload` knob for
     knob; the scenario must declare a :class:`~repro.scenarios.spec.
     FleetSpec`. All randomness comes from ``seed``.
     """
-    from repro.serve.traffic import TrafficWorkload, UpdateEvent
-    from repro.hardware.tag import PassiveTag
-    from repro.sim.events import inventory_at_pose
-
     spec = registry.resolve(scenario)
     if spec.fleet is None:
         raise ConfigurationError(
@@ -183,7 +177,7 @@ def generate_fleet_workload(
         ),
         key=lambda entry: (entry[0], entry[1]),
     )
-    events: List[Any] = []
+    stream: List[UpdateEvent] = []
     with tracing.span(
         "fleet.traffic",
         n_relays=plan.n_relays,
@@ -237,7 +231,9 @@ def generate_fleet_workload(
                 for epc, choice in assigned.items()
             }
             if mac:
-                read_epcs = inventory_at_pose(
+                # Looked up on the module at call time, so a wrapper
+                # installed on repro.sim.events sees every inventory.
+                read_epcs = events.inventory_at_pose(
                     tags, lambda t: served[t.epc_int], rng
                 )
             else:
@@ -270,7 +266,7 @@ def generate_fleet_workload(
                     snr_db=snr - penalty_db,
                     time=sample.time,
                 )
-                events.append(
+                stream.append(
                     UpdateEvent(
                         time_s=sample.time / resolved_load,
                         session_id=session_ids[tag.epc_int],
@@ -279,12 +275,12 @@ def generate_fleet_workload(
                         ),
                     )
                 )
-    events.sort(key=lambda e: (e.time_s, e.session_id))
+    stream.sort(key=lambda e: (e.time_s, e.session_id))
     duration_s = max(
         samples[-1].time for samples in relay_samples
     ) / resolved_load
     return TrafficWorkload(
-        events=tuple(events),
+        events=tuple(stream),
         grids={sid: grid for sid in session_ids.values()},
         tag_positions={
             session_ids[tag.epc_int]: np.asarray(tag.position, dtype=float)

@@ -21,8 +21,7 @@ implementing the small :class:`SweepObserver` protocol:
 The concrete observers here cover the tentpole surface: structured
 tracing (:class:`TraceObserver`), the metrics registry
 (:class:`MetricsObserver`), and the opt-in profiling hooks
-(:class:`TraceMallocObserver`, :class:`CProfileObserver`) that replace
-the old hard-coded ``trace_memory`` flag.
+(:class:`TraceMallocObserver`, :class:`CProfileObserver`).
 
 This module must not import from ``repro.runtime`` (the engine imports
 us), so engine-side types appear as ``Any`` in signatures.
@@ -266,7 +265,7 @@ class MetricsObserver(SweepObserver):
 
 
 class TraceMallocObserver(SweepObserver):
-    """Per-task peak traced allocations (the old ``trace_memory`` flag)."""
+    """Per-task peak traced allocations, recorded in the run manifest."""
 
     def __init__(self) -> None:
         self.peaks_by_label: Dict[str, int] = {}

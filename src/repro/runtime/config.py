@@ -28,11 +28,6 @@ class RuntimeConfig:
         then neither read nor written).
     ``manifest_dir``
         When set, every sweep writes ``<manifest_dir>/<sweep name>.json``.
-    ``trace_memory``
-        Deprecated: equivalent to passing
-        ``observers=[repro.obs.TraceMallocObserver()]`` to
-        :func:`~repro.runtime.engine.run_sweep`. Kept working for one
-        release via a shim that appends the observer and warns.
     """
 
     backend: str = "serial"
@@ -40,7 +35,6 @@ class RuntimeConfig:
     cache_dir: Optional[Path] = None
     use_cache: bool = True
     manifest_dir: Optional[Path] = None
-    trace_memory: bool = False
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:

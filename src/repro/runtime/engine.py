@@ -22,7 +22,6 @@ identical on everything except timing.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
 
@@ -31,7 +30,6 @@ from repro.obs import metrics, tracing
 from repro.obs.observers import (
     MetricsObserver,
     SweepObserver,
-    TraceMallocObserver,
     combined_probe,
 )
 from repro.obs.tracing import Tracer
@@ -62,24 +60,6 @@ class SweepResult:
         return len(self.results)
 
 
-def _resolve_observers(
-    config: RuntimeConfig,
-    observers: Optional[Sequence[SweepObserver]],
-) -> List[SweepObserver]:
-    """The effective observer list, honoring the ``trace_memory`` shim."""
-    observer_list = list(observers) if observers is not None else []
-    if config.trace_memory:
-        warnings.warn(
-            "RuntimeConfig(trace_memory=True) is deprecated; pass "
-            "observers=[repro.obs.TraceMallocObserver()] to run_sweep "
-            "instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        observer_list.append(TraceMallocObserver())
-    return observer_list
-
-
 def run_sweep(
     tasks: Sequence[SweepTask],
     config: Optional[RuntimeConfig] = None,
@@ -108,7 +88,7 @@ def run_sweep(
         without them.
     """
     config = config or RuntimeConfig()
-    observer_list = _resolve_observers(config, observers)
+    observer_list = list(observers) if observers is not None else []
     probe = combined_probe(observer_list)
     tracer = Tracer() if probe.trace else None
     registry = None

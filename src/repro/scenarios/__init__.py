@@ -8,7 +8,7 @@ and an optional :class:`~repro.faults.FaultPlan`. The compiler
 (:mod:`repro.scenarios.compiler`) lowers a spec to concrete channel /
 mobility / serving objects and to seeded :mod:`repro.runtime` sweep
 tasks; the trial builders (:mod:`repro.scenarios.trials`) lower specs
-to the per-trial :class:`~repro.sim.scenarios.LocalizationScenario`
+to the per-trial :class:`~repro.scenarios.trials.LocalizationScenario`
 objects the figure experiments consume.
 
 Named scenarios ship as TOML files under ``repro/scenarios/library/``

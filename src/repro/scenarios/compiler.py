@@ -33,6 +33,7 @@ from repro.channel.environment import (
     Material,
 )
 from repro.errors import ConfigurationError
+from repro.hardware.tag import PassiveTag
 from repro.localization.grid import Grid2D
 from repro.localization.measurement import MeasurementModel
 from repro.mobility.groundtruth import OptiTrack
@@ -47,6 +48,9 @@ from repro.scenarios.spec import (
     TagLayoutSpec,
     TrajectorySpec,
 )
+from repro.serve.config import ServeConfig
+from repro.serve.traffic import TrafficWorkload, UpdateEvent, run_workload
+from repro.sim import events
 
 #: Spec material names -> channel material singletons.
 MATERIALS: Mapping[str, Material] = {
@@ -291,6 +295,22 @@ def build_measurement_model(
     )
 
 
+def projected_distance_snr_db(
+    distance_m: float, reference_snr_db: float = 46.0
+) -> float:
+    """Channel-estimate SNR vs (projected) reader-relay distance.
+
+    Both the relayed query and the relayed reply cross the reader-relay
+    leg, so the estimate SNR falls 40 dB per distance decade. The
+    reference anchors SNR ~6 dB at 50 m, reproducing the paper's
+    "beyond 50 m the SNR drops below 3 dB" observation (§7.3b) once
+    fading subtracts its share.
+    """
+    if distance_m <= 0:
+        raise ConfigurationError("distance must be positive")
+    return reference_snr_db - 40.0 * np.log10(max(distance_m, 1.0) / 5.0)
+
+
 def resolve_snr_db(scenario: Scenario, world: RealizedWorld) -> float:
     """The channel-estimate SNR the radio spec implies for a world.
 
@@ -301,8 +321,6 @@ def resolve_snr_db(scenario: Scenario, world: RealizedWorld) -> float:
     radio = scenario.radio
     if radio.snr_kind == "fixed":
         return radio.snr_db
-    from repro.sim.scenarios import projected_distance_snr_db
-
     midpoint = world.midpoint_m
     reader_distance = float(
         np.linalg.norm(midpoint - world.reader_position_m)
@@ -330,7 +348,13 @@ def build_grid(
     resolution_m: Optional[float] = None,
     side_sign: Optional[float] = None,
 ) -> Grid2D:
-    """Lower a grid spec; ``tag_side`` needs the flight positions."""
+    """Lower a grid spec; ``tag_side`` needs the flight positions.
+
+    A ``tag_side`` grid covers the scanned side of the flight line: a
+    straight line cannot tell its two sides apart (mirror ambiguity),
+    and deployments scan one side of an aisle at a time, which is the
+    prior this grid encodes.
+    """
     resolution = spec.resolution_m if resolution_m is None else resolution_m
     if spec.kind == "fixed":
         return Grid2D(
@@ -340,10 +364,20 @@ def build_grid(
         raise ConfigurationError(
             "tag_side grids need the realized flight positions"
         )
-    from repro.sim.scenarios import _tag_side_grid
-
     side = spec.side_sign if side_sign is None else side_sign
-    return _tag_side_grid(positions, side, spec.margin_m, resolution)
+    margin = spec.margin_m
+    y0 = float(np.mean(positions[:, 1]))
+    if side >= 0:
+        y_min, y_max = y0 + 0.2, y0 + margin
+    else:
+        y_min, y_max = y0 - margin, y0 - 0.2
+    return Grid2D(
+        x_min=float(positions[:, 0].min() - margin / 2),
+        x_max=float(positions[:, 0].max() + margin / 2),
+        y_min=y_min,
+        y_max=y_max,
+        resolution=resolution,
+    )
 
 
 def generate_workload(
@@ -357,7 +391,7 @@ def generate_workload(
     use_gen2_mac: Optional[bool] = None,
     powering_range_m: Optional[float] = None,
     tracker: Optional[OptiTrack] = None,
-) -> Any:
+) -> TrafficWorkload:
     """Lower a scenario to a replayable Gen2 read stream.
 
     Every ``None`` knob resolves from the spec; explicit arguments win
@@ -365,16 +399,11 @@ def generate_workload(
     realization, channel noise, MAC slot draws — comes from ``seed``,
     so the event stream is a pure function of the arguments.
     """
-    # Imported lazily: serve.traffic's legacy entry point calls into
-    # this module, and the workload dataclasses live over there.
-    from repro.serve.traffic import TrafficWorkload, UpdateEvent
-    from repro.hardware.tag import PassiveTag
-    from repro.sim.events import inventory_at_pose
-
     spec = registry.resolve(scenario)
     if spec.fleet is not None:
         # Fleet scenarios lower through the multi-relay generator; a
         # one-relay fleet reproduces this function's stream bit for bit.
+        # Imported here: repro.fleet.plan imports this module.
         from repro.fleet.workload import generate_fleet_workload
 
         return generate_fleet_workload(
@@ -429,7 +458,7 @@ def generate_workload(
         positions=np.stack([s.position for s in samples]),
         resolution_m=grid_resolution,
     )
-    events: List[Any] = []
+    stream: List[UpdateEvent] = []
     with tracing.span(
         "serve.traffic", n_tags=len(tags), poses=len(samples)
     ):
@@ -446,7 +475,9 @@ def generate_workload(
                 for tag in tags
             }
             if mac:
-                read_epcs = inventory_at_pose(
+                # Looked up on the module at call time, so a wrapper
+                # installed on repro.sim.events sees every inventory.
+                read_epcs = events.inventory_at_pose(
                     tags, lambda t: powered[t.epc_int], rng
                 )
             else:
@@ -461,16 +492,16 @@ def generate_workload(
                     snr_db=snr,
                     time=sample.time,
                 )
-                events.append(
+                stream.append(
                     UpdateEvent(
                         time_s=sample.time / resolved_load,
                         session_id=session_ids[tag.epc_int],
                         measurement=measurement,
                     )
                 )
-    events.sort(key=lambda e: (e.time_s, e.session_id))
+    stream.sort(key=lambda e: (e.time_s, e.session_id))
     return TrafficWorkload(
-        events=tuple(events),
+        events=tuple(stream),
         grids={sid: grid for sid in session_ids.values()},
         tag_positions={
             session_ids[tag.epc_int]: np.asarray(tag.position, dtype=float)
@@ -489,9 +520,6 @@ def run_scenario(
     traffic generation and the replay, exactly as the resilience
     experiment does, and the summary row reports service-level numbers.
     """
-    from repro.serve.config import ServeConfig
-    from repro.serve.traffic import run_workload
-
     spec = registry.resolve(scenario)
     plan = spec.fault_plan if spec.fault_plan is not None else faults.FaultPlan()
     with faults.engaged(plan, seed=seed):

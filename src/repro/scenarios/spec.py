@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Tuple, Type, TypeVar
 
 from repro.constants import RELAY_FREQUENCY_SHIFT_HZ, UHF_CENTER_FREQUENCY
@@ -74,7 +74,8 @@ def _filtered_kwargs(
     cls: Type[Any], data: Mapping[str, Any]
 ) -> Dict[str, Any]:
     """Keyword arguments for ``cls`` present in ``data``, erroring on
-    unknown keys (typos in hand-written TOML should not pass silently).
+    unknown keys (typos in hand-written TOML should not pass silently)
+    and on missing required ones.
     """
     known = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - known)
@@ -82,6 +83,18 @@ def _filtered_kwargs(
         raise ConfigurationError(
             f"{cls.__name__} does not understand key(s) "
             f"{', '.join(unknown)}; choices: {', '.join(sorted(known))}"
+        )
+    missing = sorted(
+        f.name
+        for f in fields(cls)
+        if f.name not in data
+        and f.default is MISSING
+        and f.default_factory is MISSING
+    )
+    if missing:
+        raise ConfigurationError(
+            f"{cls.__name__} is missing required key(s) "
+            f"{', '.join(missing)}"
         )
     return {key: data[key] for key in data}
 
@@ -304,7 +317,7 @@ class TrajectorySpec:
     ``jitter_std_m`` (per-pose measurement-position noise),
     ``bias_std_m`` (per-flight marker->antenna offset) and
     ``wander_std_m`` (correlated flight wander) feed the drone error
-    model of :mod:`repro.sim.scenarios` when trials are lowered.
+    model of :mod:`repro.scenarios.trials` when trials are lowered.
     """
 
     kind: str = "line"
@@ -472,7 +485,7 @@ class RadioSpec:
 
     ``snr_kind="fixed"`` uses ``snr_db`` everywhere;
     ``"distance_law"`` evaluates the projected-distance SNR model of
-    :func:`repro.sim.scenarios.projected_distance_snr_db` anchored at
+    :func:`repro.scenarios.compiler.projected_distance_snr_db` anchored at
     ``reference_snr_db``, minus through-wall losses, clipped to
     ``[snr_min_db, snr_max_db]``. ``rssi_mismatch_std_db`` is the
     per-trial RSSI calibration mismatch drawn by the baseline

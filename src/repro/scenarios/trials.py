@@ -1,41 +1,102 @@
 """Scenario-driven trial builders for the figure experiments.
 
 Each builder lowers a :class:`~repro.scenarios.spec.Scenario` plus a
-seed to one :class:`~repro.sim.scenarios.LocalizationScenario` — the
-measurement bundle a localization trial consumes. They are ports of
-the original free functions in :mod:`repro.sim.scenarios` (which now
-delegate here through deprecation shims), parameterized by the spec
-instead of hard-coded constants, and **RNG-draw-order exact**: with
-the shipped library specs every golden table regenerates byte for
-byte.
-
-``TRIAL_BUILDERS`` is the registry the old free functions resolve
-through; new trial kinds register the same way.
+seed to one :class:`LocalizationScenario` — the measurement bundle a
+localization trial consumes. The builders are parameterized by the
+spec instead of hard-coded constants, and **RNG-draw-order exact**:
+with the shipped library specs every golden table regenerates byte
+for byte.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Union
+from dataclasses import dataclass
+from typing import List, Tuple, Union
 
 import numpy as np
 
 from repro.dsp.units import db_to_linear
 from repro.errors import ConfigurationError
 from repro.hardware import PassiveTag
-from repro.localization.measurement import ThroughRelayMeasurement
+from repro.localization.grid import Grid2D
+from repro.localization.measurement import (
+    MeasurementModel,
+    ThroughRelayMeasurement,
+)
+from repro.mobility.robot import GroundRobot
+from repro.mobility.trajectory import LineTrajectory
 from repro.scenarios import registry
 from repro.scenarios.compiler import (
     build_grid,
     build_measurement_model,
+    projected_distance_snr_db,
     realize_world,
     resolve_snr_db,
 )
 from repro.scenarios.spec import Scenario
-from repro.sim.scenarios import (
-    LocalizationScenario,
-    _correlated_wander,
-    _measure_with_jitter,
-)
+
+
+@dataclass(frozen=True)
+class LocalizationScenario:
+    """Inputs a localization experiment needs for one trial.
+
+    The calibration gains are dimensionless *linear* amplitude ratios
+    (|G / C|), hence the ``_linear`` suffix. The RSSI gain defaults to
+    the SAR gain when a trial draws no calibration mismatch.
+    """
+
+    measurements: List[ThroughRelayMeasurement]
+    tag_position: np.ndarray
+    search_grid: Grid2D
+    trajectory_positions: np.ndarray
+    calibration_gain_linear: float
+    description: str = ""
+    rssi_calibration_gain_linear: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.rssi_calibration_gain_linear == 0.0:
+            object.__setattr__(
+                self,
+                "rssi_calibration_gain_linear",
+                self.calibration_gain_linear,
+            )
+
+
+def _measure_with_jitter(
+    model: MeasurementModel,
+    trajectory: LineTrajectory,
+    tag_position,
+    rng: np.random.Generator,
+    snr_db: float,
+    spacing_m: float = 0.05,
+    jitter_std_m: float = 0.005,
+) -> Tuple[List[ThroughRelayMeasurement], np.ndarray]:
+    """Sample a path with track jitter and measure at each pose."""
+    robot = GroundRobot(track_jitter_std_m=jitter_std_m)
+    samples = robot.drive(trajectory, spacing_m, rng)
+    measurements = model.measure_along(samples, tag_position, rng, snr_db)
+    positions = np.stack([s.position for s in samples])
+    return measurements, positions
+
+
+def _correlated_wander(
+    n: int, std_m: float, rng: np.random.Generator, spacing_m: float
+) -> np.ndarray:
+    """Smooth along-path position-knowledge error (meter-scale ripples).
+
+    Models the drift between the markers OptiTrack sees and the relay's
+    actual antenna phase centers as the drone pitches and rolls along
+    the path — a few centimeters, correlated over meters.
+    """
+    s = np.arange(n) * spacing_m
+    out = np.zeros((n, 2))
+    for _ in range(3):
+        lam = rng.uniform(1.0, 4.0)
+        phase = rng.uniform(0.0, 2.0 * np.pi, 2)
+        amp = rng.normal(0.0, std_m / np.sqrt(3), 2)
+        out[:, 0] += amp[0] * np.sin(2.0 * np.pi * s / lam + phase[0])
+        out[:, 1] += amp[1] * np.sin(2.0 * np.pi * s / lam + phase[1])
+    return out
 
 
 def heatmap_trial(
@@ -212,8 +273,6 @@ def distance_trial(
     the spec's distance law, then reuses the aperture world at a fixed
     1 m aperture.
     """
-    from repro.sim.scenarios import projected_distance_snr_db
-
     spec = registry.resolve(scenario)
     snr = projected_distance_snr_db(
         projected_distance_m, spec.radio.reference_snr_db
@@ -237,30 +296,3 @@ def bench_tag(
     return PassiveTag(
         epc=epc, position=(float(tag_distance_m), 0.0), rng=rng
     )
-
-
-TrialBuilder = Callable[..., LocalizationScenario]
-
-#: Registry the deprecated ``sim.scenarios`` free functions route
-#: through; keys are trial kinds, values build one trial from
-#: ``(scenario, ...)``.
-TRIAL_BUILDERS: Dict[str, TrialBuilder] = {
-    "heatmap": heatmap_trial,
-    "warehouse": warehouse_trial,
-    "aperture": aperture_trial,
-    "distance": distance_trial,
-}
-
-
-def build_trial(
-    kind: str, scenario: Union[str, Scenario], **kwargs: object
-) -> LocalizationScenario:
-    """Dispatch a trial build through :data:`TRIAL_BUILDERS`."""
-    try:
-        builder = TRIAL_BUILDERS[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown trial kind {kind!r}; "
-            f"choices: {', '.join(sorted(TRIAL_BUILDERS))}"
-        ) from None
-    return builder(scenario, **kwargs)

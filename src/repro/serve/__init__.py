@@ -21,8 +21,9 @@ Layout:
   the degradation decision.
 * :mod:`~repro.serve.service` — the :class:`LocalizationService`
   facade (submit / step / estimate / finalize).
-* :mod:`~repro.serve.traffic` — the Gen2-MAC-driven traffic generator
-  and workload replay.
+* :mod:`~repro.serve.traffic` — the replayable workload stream and its
+  replay (:func:`repro.scenarios.compiler.generate_workload` builds
+  streams from named scenarios).
 * :mod:`~repro.serve.shard` — consistent-hash sharding across ``M``
   independent workers, bit-identical (under partitioned capacity
   isolation) to the unsharded service.
@@ -54,7 +55,6 @@ from repro.serve.traffic import (
     ServeRunReport,
     TrafficWorkload,
     UpdateEvent,
-    generate_workload,
     run_workload,
 )
 
@@ -79,7 +79,6 @@ __all__ = [
     "TrafficWorkload",
     "UpdateEvent",
     "VirtualClock",
-    "generate_workload",
     "run_sharded_workload",
     "run_workload",
 ]

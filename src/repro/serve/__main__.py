@@ -27,13 +27,14 @@ from repro.obs import (
 )
 from repro.obs import metrics as metrics_mod
 from repro.obs import tracing as tracing_mod
+from repro.scenarios.compiler import generate_workload
 from repro.serve.config import ServeConfig
 from repro.serve.shard import (
     ShardConfig,
     ShardedRunReport,
     run_sharded_workload,
 )
-from repro.serve.traffic import ServeRunReport, generate_workload, run_workload
+from repro.serve.traffic import ServeRunReport, run_workload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,6 +137,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     start_s = wall_clock_s()
     with tracing_mod.activated(tracer), metrics_mod.activated(registry):
         workload = generate_workload(
+            "conveyor_flow_through",
             n_tags=n_tags,
             seed=args.seed,
             load=args.load,

@@ -89,13 +89,6 @@ class ServeConfig:
         on its own stream, which is what makes a consistent-hash
         sharded run (:mod:`repro.serve.shard`) bit-identical to the
         unsharded service. Sharding *requires* partitioned isolation.
-    batched_ingest:
-        Route each scheduling round's accumulator folds through the
-        stacked cross-session kernel
-        (:func:`repro.localization.batched.fold_blocks`) instead of
-        per-session ``SarGeometry`` passes. Exact per session
-        (stacking-invariant segment sums); the speedup at high session
-        counts is what ``benchmarks/test_serve_scale.py`` measures.
     """
 
     frequency_hz: float
@@ -119,7 +112,6 @@ class ServeConfig:
     use_nearest_peak_rule: bool = True
     chunk_nodes: int = DEFAULT_CHUNK_NODES
     capacity_mode: str = "shared"
-    batched_ingest: bool = True
 
     def __post_init__(self) -> None:
         if self.capacity_mode not in ("shared", "partitioned"):

@@ -16,6 +16,7 @@ ingest/shed/degrade counters — activate a tracer/registry (as
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -302,8 +303,9 @@ class LocalizationService:
 
         Disentanglement (Eq. 10) happens here, so shedding costs almost
         nothing and an admitted update is ready for pure vectorized
-        accumulation. Expired-but-checkpointed sessions restore
-        transparently.
+        accumulation. A read whose channel estimates or pose are not
+        finite is rejected before it (reason ``non_finite``).
+        Expired-but-checkpointed sessions restore transparently.
         """
         arrival_s = self.clock.advance_to(
             now_s if now_s is not None else self.clock.now_s
@@ -333,6 +335,16 @@ class LocalizationService:
             if faults.dropped("relay.handoff", now_s=arrival_s):
                 return self._reject_update(session_id, "handoff")
         session.last_ingest_relay = measurement.relay
+        position = np.asarray(measurement.position, dtype=float)
+        if not (
+            cmath.isfinite(measurement.h_target)
+            and cmath.isfinite(measurement.h_reference)
+            and np.isfinite(position).all()
+        ):
+            # A NaN/inf estimate or pose would poison the stacked fold
+            # (and every session co-batched with it), and a non-finite
+            # reference must not pass as a reacquired one.
+            return self._reject_update(session_id, "non_finite")
         try:
             channel = disentangle(
                 measurement.h_target, measurement.h_reference
@@ -346,7 +358,7 @@ class LocalizationService:
             # sum would silently bias the fix, so refuse it loudly.
             return self._reject_update(session_id, "tag_undecodable")
         update = PendingUpdate(
-            position=np.asarray(measurement.position, dtype=float),
+            position=position,
             channel=channel,
             arrival_s=arrival_s,
             seq=self._seq,
@@ -415,18 +427,13 @@ class LocalizationService:
                     poses=len(plan.updates),
                     degraded=plan.degraded,
                 ):
-                    if self.config.batched_ingest:
+                    staged.extend(
+                        session.stage_batch(plan.updates, plan.degraded)
+                    )
+                    if plan.catchup_poses:
                         staged.extend(
-                            session.stage_batch(plan.updates, plan.degraded)
+                            session.stage_catchup(plan.catchup_poses)
                         )
-                        if plan.catchup_poses:
-                            staged.extend(
-                                session.stage_catchup(plan.catchup_poses)
-                            )
-                    else:
-                        session.apply_batch(plan.updates, plan.degraded)
-                        if plan.catchup_poses:
-                            session.catch_up(plan.catchup_poses)
                 if self._partitioned:
                     done_s = (
                         max(

@@ -287,9 +287,10 @@ class TagSession:
     ) -> int:
         """Fold one micro-batch in; returns grid nodes projected.
 
-        The scalar path: stages the batch and executes each fold
-        through the session's own accumulators inline (the batched
-        service collects the staged blocks of a whole round instead).
+        The scalar reference: stages the batch and executes each fold
+        through the session's own accumulators inline. The service
+        instead folds a whole round's staged blocks in one stacked
+        kernel call; tests pin the two bit for bit.
         """
         projected = 0
         for block in self.stage_batch(updates, degraded):

@@ -1,35 +1,30 @@
-"""Gen2-inventory-driven traffic generation and workload replay.
+"""Traffic workloads and their replay through the service.
 
-Traffic generation now lives in
-:func:`repro.scenarios.compiler.generate_workload`, which lowers any
-named :class:`~repro.scenarios.spec.Scenario` to a replayable read
-stream; :func:`generate_workload` here remains as a thin delegator
-pinned to the ``conveyor_flow_through`` scenario (the historical
-hard-coded world) so existing callers keep their exact streams.
-
-At every pose the generator runs the *actual* Gen2 anti-collision MAC
-of :func:`repro.sim.events.inventory_at_pose` to decide which tags the
-relay reads — so arrival patterns inherit the MAC's contention (slow
-poses read fewer tags, singulation order varies with the seed) instead
-of an idealized Poisson stream. Each successful read becomes a
-timestamped :class:`UpdateEvent` for that tag's session.
+A :class:`TrafficWorkload` is a replayable stream of timestamped
+:class:`UpdateEvent` reads plus each session's search grid and true
+tag position. :func:`repro.scenarios.compiler.generate_workload`
+lowers any named scenario to one: at every pose it runs the *actual*
+Gen2 anti-collision MAC of :func:`repro.sim.events.inventory_at_pose`
+to decide which tags the relay reads — so arrival patterns inherit the
+MAC's contention (slow poses read fewer tags, singulation order varies
+with the seed) instead of an idealized Poisson stream.
 
 ``load`` compresses the arrival timeline: the drone's physical flight
 produces events over ``duration_s / load`` seconds, so ``load`` beyond
 the service's capacity drives the backlog up and walks the service down
 the degradation ladder — the axis the `serve` experiment sweeps.
+:func:`run_workload` replays a stream through a fresh service.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.localization.grid import Grid2D
 from repro.localization.measurement import ThroughRelayMeasurement
-from repro.mobility.groundtruth import OptiTrack
 from repro.obs import tracing
 from repro.runtime.cache import ResultCache
 from repro.serve.config import ServeConfig
@@ -67,56 +62,6 @@ class ServeRunReport:
     degraded_fraction: float
     estimates: Dict[str, np.ndarray]
     errors_m: Dict[str, float]
-
-
-def generate_workload(
-    n_tags: int = 4,
-    seed: int = 0,
-    load: float = 1.0,
-    pose_spacing_m: float = 0.05,
-    snr_db: float = 25.0,
-    grid_resolution: float = 0.10,
-    use_gen2_mac: bool = True,
-    powering_range_m: float = 3.5,
-    tracker: Optional[OptiTrack] = None,
-    scenario: Optional[Any] = None,
-) -> TrafficWorkload:
-    """Fly one line scan over ``n_tags`` tags and emit the read stream.
-
-    Delegates to :func:`repro.scenarios.compiler.generate_workload`
-    against the ``conveyor_flow_through`` scenario (or ``scenario``,
-    a name/path/:class:`~repro.scenarios.spec.Scenario`, when given),
-    whose spec matches the world this function historically built
-    inline — same reader, trajectory, tag box, and grid, drawn in the
-    same RNG order, so streams are byte-identical for a given seed.
-
-    All randomness (tag placement, channel noise, MAC slot draws) comes
-    from the single ``seed``, so the event stream — timestamps, order,
-    and payloads — is a pure function of the arguments.
-
-    ``tracker`` optionally routes the flight's poses through an
-    :class:`~repro.mobility.groundtruth.OptiTrack` observation pass
-    (noise-free without an rng), which is where ``mobility.pose``
-    faults — pose dropout and jitter — act on the stream.
-    """
-    # Imported lazily: the compiler imports this module's dataclasses
-    # (also lazily), and neither side wants the cycle at import time.
-    from repro.scenarios import compiler
-
-    if scenario is None:
-        scenario = "conveyor_flow_through"
-    return compiler.generate_workload(
-        scenario,
-        n_tags=n_tags,
-        seed=seed,
-        load=load,
-        pose_spacing_m=pose_spacing_m,
-        snr_db=snr_db,
-        grid_resolution=grid_resolution,
-        use_gen2_mac=use_gen2_mac,
-        powering_range_m=powering_range_m,
-        tracker=tracker,
-    )
 
 
 def run_workload(

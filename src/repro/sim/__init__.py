@@ -1,4 +1,4 @@
-"""End-to-end simulation: worlds, scan events, scenarios, result stats."""
+"""End-to-end simulation: worlds, scan events, inventory, result stats."""
 
 from __future__ import annotations
 
@@ -17,13 +17,6 @@ from repro.sim.inventory_db import (
     LocatedItem,
     ReconciliationReport,
 )
-from repro.sim.scenarios import (
-    aperture_microbenchmark,
-    distance_microbenchmark,
-    fig12_trial,
-    los_heatmap_scenario,
-    multipath_heatmap_scenario,
-)
 
 __all__ = [
     "empirical_cdf",
@@ -36,11 +29,6 @@ __all__ = [
     "World",
     "WorldConfig",
     "TagObservation",
-    "fig12_trial",
-    "aperture_microbenchmark",
-    "distance_microbenchmark",
-    "los_heatmap_scenario",
-    "multipath_heatmap_scenario",
     "Item",
     "ItemDatabase",
     "LocatedItem",

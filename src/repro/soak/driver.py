@@ -35,6 +35,7 @@ from repro.runtime import SweepTask
 from repro.runtime.cache import ResultCache
 from repro.runtime.seeding import spawn_task_seeds
 from repro.scenarios import registry as scenario_registry
+from repro.scenarios.compiler import generate_workload
 from repro.scenarios.spec import Scenario
 from repro.serve.config import ServeConfig
 from repro.serve.shard import ShardConfig, run_sharded_workload
@@ -157,10 +158,6 @@ def soak_epoch(
     with tracing.span("soak.epoch", epoch=epoch, shards=shards):
         with tempfile.TemporaryDirectory(prefix="soak-ckpt-") as tmp_dir:
             with faults.engaged(plan, seed=seed) as engine:
-                # Imported lazily like the other serve callers: the
-                # compiler's workload dataclasses live in serve.traffic.
-                from repro.scenarios.compiler import generate_workload
-
                 workload = generate_workload(
                     spec,
                     n_tags=n_tags,

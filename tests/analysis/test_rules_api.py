@@ -105,19 +105,10 @@ class TestExperimentsBypassScenarioRegistry:
 
     def test_module_attribute_call_is_flagged(self):
         src = """
-        import repro.serve.traffic
+        import repro.localization.grid
 
         def build() -> None:
-            repro.serve.traffic.generate_workload(n_tags=4)
-        """
-        assert "A406" in codes(src, path=EXPERIMENT_PATH)
-
-    def test_deprecated_sim_builder_is_flagged(self):
-        src = """
-        from repro.sim.scenarios import fig12_trial
-
-        def build() -> None:
-            fig12_trial(seed=0)
+            repro.localization.grid.Grid2D(-0.5, 4.0, 0.2, 3.0, 0.1)
         """
         assert "A406" in codes(src, path=EXPERIMENT_PATH)
 

@@ -1,21 +1,19 @@
-"""Registry contract tests: lookup, parameter layering, shim parity.
+"""Registry contract tests: lookup, parameter layering, observers.
 
 The golden *tables* are covered by test_golden.py; here we pin the
 registry's structural contracts — name/alias round-trips, the
 golden-file naming convention, defaults/smoke/override layering, and
-that the deprecated per-module ``run()`` shims produce the exact result
-the registry does.
+observer threading.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import fig13_aperture, fig14_distance, registry
+from repro.experiments import registry
 from repro.obs.observers import MetricsObserver, TraceObserver
 from repro.runtime import RuntimeConfig
 
@@ -79,33 +77,6 @@ class TestParameterLayering:
         assert run.spec.name == "fig14_distance"
         assert run.outputs and hasattr(run.outputs[0], "report")
         assert len(run.sweep.manifest.tasks) == 1
-
-
-class TestShimParity:
-    def test_fig13_run_shim_warns_and_matches_registry(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = fig13_aperture.run(
-                apertures_m=(1.0,), trials_per_point=2, seed=0
-            )
-        fresh = registry.run_experiment(
-            "fig13", RuntimeConfig(), apertures_m=(1.0,), trials_per_point=2
-        ).result
-        assert legacy.sar_errors.keys() == fresh.sar_errors.keys()
-        np.testing.assert_array_equal(
-            legacy.sar_errors[1.0], fresh.sar_errors[1.0]
-        )
-
-    def test_fig14_run_shim_warns_and_matches_registry(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = fig14_distance.run(
-                distances_m=(5.0,), trials_per_point=1, seed=0
-            )
-        fresh = registry.run_experiment(
-            "fig14", RuntimeConfig(), distances_m=(5.0,), trials_per_point=1
-        ).result
-        np.testing.assert_array_equal(
-            legacy.sar_errors[5.0], fresh.sar_errors[5.0]
-        )
 
 
 class TestObserversThreadThrough:

@@ -5,8 +5,6 @@ from __future__ import annotations
 import json
 import logging
 
-import pytest
-
 from repro.obs import metrics as metrics_mod
 from repro.obs import tracing as tracing_mod
 from repro.obs.observers import (
@@ -211,23 +209,6 @@ class TestProfilingObservers:
 
     def test_cprofile_empty_report(self):
         assert CProfileObserver().report() == "(no profile collected)"
-
-
-class TestTraceMemoryShim:
-    def test_trace_memory_flag_warns_and_still_works(self):
-        with pytest.warns(DeprecationWarning, match="trace_memory"):
-            result = run_sweep(
-                _tasks(1),
-                RuntimeConfig(trace_memory=True),
-                name="obs_shim",
-            )
-        assert result.manifest.tasks[0].peak_memory_bytes > 0
-
-    def test_observers_do_not_warn(self, recwarn):
-        run_sweep(_tasks(1), name="obs_clean", observers=[TraceMallocObserver()])
-        assert not [
-            w for w in recwarn if issubclass(w.category, DeprecationWarning)
-        ]
 
 
 class TestCorruptCacheSelfHealing:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs import TraceMallocObserver
 from repro.runtime import RuntimeConfig, SweepTask, run_sweep
 
 from tests.runtime import sweep_fns
@@ -139,9 +140,7 @@ class TestManifest:
         assert len(data["tasks"]) == 2
 
     def test_trace_memory_records_peak(self):
-        with pytest.warns(DeprecationWarning, match="trace_memory"):
-            config = RuntimeConfig(trace_memory=True)
-            sweep = run_sweep(_tasks(2), config)
+        sweep = run_sweep(_tasks(2), observers=[TraceMallocObserver()])
         for record in sweep.manifest.tasks:
             assert record.peak_memory_bytes is not None
             assert record.peak_memory_bytes > 0

@@ -1,5 +1,7 @@
 """Compiler lowering: tasks, workloads, and end-to-end scenario runs."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from repro.runtime import RuntimeConfig, run_sweep
 from repro.scenarios import compiler, registry
 from repro.scenarios.cli import smoke_variant
 from repro.scenarios.spec import Scenario
-from repro.serve import traffic as serve_traffic
+from repro.sim import events
 
 #: The named scenarios the twelve experiments resolve; each must run
 #: end to end (ISSUE acceptance: five named scenarios under --smoke).
@@ -43,36 +45,43 @@ class TestCompileScenario:
 
 
 class TestWorkloadDelegation:
-    def test_legacy_entry_point_matches_compiler(self):
-        """serve.traffic.generate_workload is a byte-exact delegator
-        pinned to conveyor_flow_through."""
-        legacy = serve_traffic.generate_workload(n_tags=3, seed=5, load=2.0)
-        compiled = compiler.generate_workload(
-            "conveyor_flow_through", n_tags=3, seed=5, load=2.0
-        )
-        assert len(legacy.events) == len(compiled.events)
-        for a, b in zip(legacy.events, compiled.events):
-            assert a.time_s == b.time_s
-            assert a.session_id == b.session_id
-            assert a.measurement.h_target == b.measurement.h_target
-        assert legacy.duration_s == compiled.duration_s
-        for sid in legacy.tag_positions:
-            np.testing.assert_array_equal(
-                legacy.tag_positions[sid], compiled.tag_positions[sid]
-            )
-
-    def test_legacy_entry_point_accepts_other_scenarios(self):
-        workload = serve_traffic.generate_workload(
-            n_tags=2, seed=1, scenario="outdoor_yard"
-        )
-        assert len(workload.grids) == 2
-
     def test_explicit_knobs_override_the_spec(self):
         coarse = compiler.generate_workload(
             "conveyor_flow_through", seed=0, pose_spacing_m=0.5
         )
         fine = compiler.generate_workload("conveyor_flow_through", seed=0)
         assert len(coarse.events) < len(fine.events)
+
+
+class TestGen2Boundary:
+    """Both generators look the Gen2 MAC up on :mod:`repro.sim.events`
+    at call time, so a wrapper installed there sees every inventory
+    (the wall-clock ledger's ``gen2`` layer is such a wrapper)."""
+
+    @pytest.mark.parametrize(
+        "name", ["conveyor_flow_through", "aisle_crossover_handoff"]
+    )
+    def test_generate_workload_reads_through_the_events_module(
+        self, name, monkeypatch
+    ):
+        # Import the fleet generator before patching: a module that bound
+        # the MAC at import time must keep the original and fail here.
+        importlib.import_module("repro.fleet.workload")
+        spec = smoke_variant(registry.get(name))
+        assert spec.traffic.use_gen2_mac
+        reads = []
+        original = events.inventory_at_pose
+
+        def counting(*args, **kwargs):
+            result = original(*args, **kwargs)
+            reads.append(len(result))
+            return result
+
+        monkeypatch.setattr(events, "inventory_at_pose", counting)
+        workload = compiler.generate_workload(spec, seed=0)
+        assert reads
+        # Every singulated tag becomes exactly one update event.
+        assert sum(reads) == len(workload.events) > 0
 
 
 class TestEndToEnd:

@@ -1,5 +1,7 @@
 """Scenario spec validation and lossless serialization."""
 
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -72,6 +74,47 @@ class TestValidation:
         with pytest.raises(ConfigurationError) as err:
             Scenario.from_dict({"name": "x", "florplan": {}})
         assert "florplan" in str(err.value)
+
+
+def _without_name(data):
+    return {key: value for key, value in data.items() if key != "name"}
+
+
+def _first_wall_without_x0(data):
+    walls = [dict(wall) for wall in data["floorplan"]["walls"]]
+    del walls[0]["x0_m"]
+    return {**data, "floorplan": {**data["floorplan"], "walls": walls}}
+
+
+class TestMissingRequiredKeys:
+    """Decoding names the missing field with a typed error, whether the
+    spec arrives as a mapping or as a file."""
+
+    CASES = {
+        "empty": (lambda data: {}, "name"),
+        "no_name": (_without_name, "name"),
+        "wall_without_x0": (_first_wall_without_x0, "x0_m"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_from_dict(self, case):
+        strip, missing = self.CASES[case]
+        data = strip(registry.get("cold_storage_aisles").to_dict())
+        with pytest.raises(ConfigurationError, match=missing):
+            Scenario.from_dict(data)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("suffix", [".toml", ".json"])
+    def test_load_file(self, case, suffix, tmp_path):
+        strip, missing = self.CASES[case]
+        data = strip(registry.get("cold_storage_aisles").to_dict())
+        path = tmp_path / f"cold_storage_aisles{suffix}"
+        path.write_text(
+            toml_codec.dumps(data) if suffix == ".toml" else json.dumps(data),
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigurationError, match=missing):
+            registry.load_file(path)
 
 
 class TestRoundTrip:

@@ -10,6 +10,7 @@ sessions — with the accounting (``recoveries``, ``updates_rejected``,
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 
 import numpy as np
@@ -155,6 +156,51 @@ class TestReferenceOutage:
             Admission.REJECTED
         )
         assert service.session_data_loss("a") == 1
+
+
+#: One non-finite value per ingest field a read carries.
+NON_FINITE_READS = {
+    "h_target": {"h_target": complex(float("inf"), 0.0)},
+    "h_reference": {"h_reference": complex(0.0, float("nan"))},
+    "position": {"position": np.array([float("nan"), 0.0])},
+}
+
+
+class TestNonFiniteReads:
+    @pytest.mark.parametrize("field", sorted(NON_FINITE_READS))
+    def test_rejected_at_ingest_without_failing_co_batched_sessions(
+        self, field
+    ):
+        service = make_service()
+        service.open_session("a", make_grid())
+        service.open_session("b", make_grid())
+        good = make_measurements(4)
+        for m in good[:3]:
+            assert service.submit("a", m, now_s=0.0) is Admission.ACCEPTED
+        bad = dataclasses.replace(good[3], **NON_FINITE_READS[field])
+        assert service.submit("b", bad, now_s=0.0) is Admission.REJECTED
+        service.drain()
+        report = service.report()
+        assert report.updates_rejected == 1
+        assert service.session_data_loss("b") == 1
+        assert service.session_data_loss("a") == 0
+        # The books balance: every accepted update was applied.
+        assert report.updates_accepted == report.updates_applied == 3
+
+    def test_non_finite_reference_is_not_a_reacquisition(self):
+        service = make_service(reference_timeout_s=1.0)
+        service.open_session("a", make_grid())
+        first, second = make_measurements(3)[:2]
+        service.submit("a", dead_reference(first), now_s=0.0)
+        nan_reference = dataclasses.replace(
+            second, h_reference=complex(float("nan"), 0.0)
+        )
+        assert service.submit("a", nan_reference, now_s=0.03) is (
+            Admission.REJECTED
+        )
+        report = service.report()
+        assert report.recoveries == 0
+        assert report.updates_rejected == 2
 
 
 class TestServiceKill:

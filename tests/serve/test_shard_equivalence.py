@@ -24,10 +24,10 @@ from repro.localization import Grid2D, IncrementalSar
 from repro.localization.batched import PoseBlock, fold_blocks
 from repro.obs import MetricsRegistry
 from repro.obs import metrics as metrics_mod
+from repro.scenarios.compiler import generate_workload
 from repro.serve import (
     ServeConfig,
     ShardConfig,
-    generate_workload,
     run_sharded_workload,
 )
 
@@ -180,7 +180,7 @@ def test_fold_blocks_empty_and_degenerate():
 def workload():
     """One compressed Gen2-MAC workload, heavy enough to degrade."""
     return generate_workload(
-        n_tags=6, seed=11, load=24.0, grid_resolution=0.15
+        "conveyor_flow_through", n_tags=6, seed=11, load=24.0, grid_resolution=0.15
     )
 
 
@@ -272,22 +272,6 @@ def test_workload_actually_degrades(unsharded):
     )
 
 
-def test_batched_ingest_off_changes_nothing_user_visible(workload, unsharded):
-    """The scalar fallback path serves the same numbers (1e-9 fixes)."""
-    reference, _ = unsharded
-    config = ServeConfig(**{**PARTITIONED, "batched_ingest": False})
-    candidate = run_sharded_workload(
-        workload, config, ShardConfig(n_shards=1)
-    )
-    assert candidate.estimates.keys() == reference.estimates.keys()
-    for session_id, fix in reference.estimates.items():
-        np.testing.assert_allclose(
-            candidate.estimates[session_id], fix, atol=1e-9
-        )
-    assert candidate.ladders == reference.ladders
-    assert candidate.service == reference.service
-
-
 def test_sharding_requires_partitioned_isolation(workload):
     config = ServeConfig(frequency_hz=F)
     with pytest.raises(ConfigurationError, match="partitioned"):
@@ -302,10 +286,9 @@ def fleet_workload():
     """A two-relay fleet stream whose boundary tags hand off."""
     from repro.fleet.plan import scale_fleet
     from repro.scenarios import registry as scenario_registry
-    from repro.scenarios.compiler import generate_workload as compile_workload
 
     spec = scale_fleet(scenario_registry.get("conveyor_flow_through"), 2)
-    return compile_workload(
+    return generate_workload(
         spec, n_tags=4, seed=3, load=16.0, grid_resolution=0.15
     )
 

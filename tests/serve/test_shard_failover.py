@@ -21,11 +21,11 @@ from repro.constants import UHF_CENTER_FREQUENCY
 from repro.errors import SessionNotFoundError
 from repro.faults import FaultPlan, Trigger
 from repro.runtime.cache import ResultCache
+from repro.scenarios.compiler import generate_workload
 from repro.serve import (
     ServeConfig,
     ShardConfig,
     ShardedLocalizationService,
-    generate_workload,
     run_sharded_workload,
 )
 
@@ -36,7 +36,7 @@ N_SHARDS = 4
 @pytest.fixture(scope="module")
 def workload():
     return generate_workload(
-        n_tags=5, seed=4, load=12.0, grid_resolution=0.15
+        "conveyor_flow_through", n_tags=5, seed=4, load=12.0, grid_resolution=0.15
     )
 
 

@@ -7,24 +7,26 @@ import pytest
 
 from repro.constants import UHF_CENTER_FREQUENCY
 from repro.errors import ConfigurationError
-from repro.serve import ServeConfig, generate_workload, run_workload
+from repro.scenarios.compiler import generate_workload
+from repro.serve import ServeConfig, run_workload
 from repro.serve.__main__ import main
 
 F = UHF_CENTER_FREQUENCY
+CONVEYOR = "conveyor_flow_through"
 
 
 def small_workload(seed=0, load=1.0):
     return generate_workload(
-        n_tags=2, seed=seed, load=load, grid_resolution=0.2
+        CONVEYOR, n_tags=2, seed=seed, load=load, grid_resolution=0.2
     )
 
 
 class TestGenerateWorkload:
     def test_parameters_are_validated(self):
         with pytest.raises(ConfigurationError):
-            generate_workload(n_tags=0)
+            generate_workload(CONVEYOR, n_tags=0)
         with pytest.raises(ConfigurationError):
-            generate_workload(load=0.0)
+            generate_workload(CONVEYOR, load=0.0)
 
     def test_same_seed_same_stream(self):
         a = small_workload(seed=7)
@@ -59,10 +61,10 @@ class TestGenerateWorkload:
 
     def test_gen2_mac_never_reads_more_than_the_powered_set(self):
         with_mac = generate_workload(
-            n_tags=3, seed=0, grid_resolution=0.2, use_gen2_mac=True
+            CONVEYOR, n_tags=3, seed=0, grid_resolution=0.2, use_gen2_mac=True
         )
         without = generate_workload(
-            n_tags=3, seed=0, grid_resolution=0.2, use_gen2_mac=False
+            CONVEYOR, n_tags=3, seed=0, grid_resolution=0.2, use_gen2_mac=False
         )
         # The MAC singulates from the powered set, so it can only thin
         # the stream (with few tags and many slots it reads them all).
@@ -70,10 +72,10 @@ class TestGenerateWorkload:
 
     def test_powering_range_gates_reads(self):
         near = generate_workload(
-            n_tags=3, seed=0, grid_resolution=0.2, powering_range_m=10.0
+            CONVEYOR, n_tags=3, seed=0, grid_resolution=0.2, powering_range_m=10.0
         )
         far = generate_workload(
-            n_tags=3, seed=0, grid_resolution=0.2, powering_range_m=0.5
+            CONVEYOR, n_tags=3, seed=0, grid_resolution=0.2, powering_range_m=0.5
         )
         assert len(far.events) < len(near.events)
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.scenarios.compiler import projected_distance_snr_db
 from repro.scenarios.trials import (
     aperture_trial,
     distance_trial,
     heatmap_trial,
     warehouse_trial,
 )
-from repro.sim.scenarios import projected_distance_snr_db
 
 
 class TestHeatmapScenarios:

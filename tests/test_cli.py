@@ -86,12 +86,3 @@ def test_trace_and_metrics_flags_print_reports(capsys, tmp_path):
     assert trace_path.exists() and metrics_path.exists()
     data = json.loads(metrics_path.read_text())
     assert data["counters"]["runtime.sweeps"] == 1.0
-
-
-def test_trace_memory_alias_maps_to_trace_malloc(capsys, recwarn):
-    assert main(["run", "fig13", "--smoke", "--trace-memory"]) == 0
-    assert "regenerated in" in capsys.readouterr().out
-    # The alias routes to the observer, not the deprecated config flag.
-    assert not [
-        w for w in recwarn if issubclass(w.category, DeprecationWarning)
-    ]
