@@ -7,8 +7,8 @@ snapshots the current findings so a future PR can ratchet them down.
 
 Paths inside baseline keys are stored repo-relative with POSIX
 separators, so a baseline written on one machine (or OS) matches the
-same findings checked out anywhere else. Keys written by older
-versions (absolute or backslashed paths) are still honored on load.
+same findings checked out anywhere else. Only this portable format
+(version 2) loads; any other version is rejected.
 """
 
 from __future__ import annotations
@@ -57,18 +57,15 @@ def load_baseline(path: str) -> Set[str]:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict) or "keys" not in payload:
         raise ValueError(f"{path} is not a reprolint baseline file")
+    if payload.get("version") != _FORMAT_VERSION:
+        raise ValueError(
+            f"{path} is a version {payload.get('version')!r} baseline; "
+            f"only version {_FORMAT_VERSION} is supported "
+            "(regenerate it with --write-baseline)"
+        )
     return set(payload["keys"])
 
 
 def apply_baseline(findings: Sequence[Finding], keys: Set[str]) -> List[Finding]:
-    """Drop findings whose baseline key is in ``keys``.
-
-    Both the portable (v2) and the legacy raw-path (v1) forms of each
-    finding's key are checked, so existing baselines keep suppressing
-    across the format change.
-    """
-    return [
-        f
-        for f in findings
-        if portable_key(f) not in keys and f.baseline_key() not in keys
-    ]
+    """Drop findings whose portable baseline key is in ``keys``."""
+    return [f for f in findings if portable_key(f) not in keys]

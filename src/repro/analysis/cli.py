@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
@@ -73,36 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list registered rules and exit",
     )
-    parser.add_argument(
-        "--backend",
-        choices=("inline", "serial", "process"),
-        default="inline",
-        help=(
-            "execution backend: 'inline' analyzes in-process; 'serial' "
-            "and 'process' route through the repro.runtime sweep engine "
-            "with per-file result caching (default: inline)"
-        ),
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker count for --backend process (default: cpu count)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help=(
-            "result-cache directory for the runtime backends "
-            "(default: .reprolint_cache)"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable result caching for the runtime backends",
-    )
     return parser
 
 
@@ -137,21 +106,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ignore=ignore,
         exclude_paths=tuple(args.exclude),
     )
-    if args.backend == "inline":
-        findings = analyze_paths(args.paths, config)
-    else:
-        from repro.analysis.driver import analyze_project
-        from repro.runtime import RuntimeConfig
-
-        runtime = RuntimeConfig(
-            backend=args.backend,
-            max_workers=args.jobs,
-            cache_dir=None
-            if args.no_cache
-            else Path(args.cache_dir or ".reprolint_cache"),
-            use_cache=not args.no_cache,
-        )
-        findings = analyze_project(args.paths, config, runtime=runtime)
+    findings = analyze_paths(args.paths, config)
 
     if args.write_baseline:
         write_baseline(args.write_baseline, findings)

@@ -95,7 +95,7 @@ class UnitLattice:
     """Infers dimension families for expressions under an environment.
 
     A value is a family token from
-    :data:`repro.analysis.rules.units.UNIT_FAMILIES` or None (unknown /
+    :data:`repro.analysis.unitlang.UNIT_FAMILIES` or None (unknown /
     dimensionless). Precedence for names: an explicit unit suffix is a
     *declaration* and wins over anything propagated — the propagated
     value only fills in suffix-less locals.

@@ -25,14 +25,6 @@ class Finding:
         """``path:line:col: CODE message`` — the text-reporter line."""
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
-    def baseline_key(self) -> str:
-        """Identity used for baseline suppression.
-
-        Deliberately excludes the line number so an accepted legacy
-        finding keeps matching as unrelated edits shift the file.
-        """
-        return f"{self.code}::{self.path}::{self.message}"
-
     def to_dict(self) -> Dict[str, Union[str, int]]:
         """JSON-reporter representation."""
         return {

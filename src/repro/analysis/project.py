@@ -1,4 +1,4 @@
-"""The whole-program project model: import graph, symbol table, call graph.
+"""The whole-program project model: symbol table and call graph.
 
 Per-file AST rules can enforce *local* conventions, but the bugs that
 threaten the reproduction are cross-module: a ``_db`` value flowing
@@ -9,17 +9,10 @@ tasks. This module builds the shared substrate those analyses need:
 
 * a **module summary** per file — dotted module name, import bindings,
   function signatures with unit-suffix facts, module-level names;
-* an **import graph** over the analyzed tree (project-internal edges
-  only), from which per-file *dependency signatures* are derived for
-  content-addressed caching;
 * a **call graph** of resolved project-internal call edges, plus the
   set of *task functions* (functions referenced at ``SweepTask`` /
   ``SweepTask.make`` construction sites) and everything reachable from
   them — the worker-purity rules' root set.
-
-Every summary is plain JSON-serializable data so the model ships to
-worker processes (and round-trips byte-identically, which the
-hypothesis suite pins).
 """
 
 from __future__ import annotations
@@ -27,13 +20,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.analysis.unitlang import family_of
-
-#: Bump when summary layout or extraction semantics change so cached
-#: project summaries (and per-file findings keyed on them) invalidate.
-MODEL_VERSION = 1
 
 
 def module_name_for_path(path: str) -> str:
@@ -100,37 +89,6 @@ class FunctionSummary:
             return self.params[index]
         return None
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-serializable, order-stable)."""
-        return {
-            "qualname": self.qualname,
-            "module": self.module,
-            "line": self.line,
-            "params": list(self.params),
-            "param_families": [list(pair) for pair in self.param_families],
-            "return_family": self.return_family,
-            "calls": list(self.calls),
-            "mutated_globals": list(self.mutated_globals),
-            "is_public": self.is_public,
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "FunctionSummary":
-        """Inverse of :meth:`to_dict`."""
-        return FunctionSummary(
-            qualname=data["qualname"],
-            module=data["module"],
-            line=data["line"],
-            params=tuple(data["params"]),
-            param_families=tuple(
-                (pair[0], pair[1]) for pair in data["param_families"]
-            ),
-            return_family=data["return_family"],
-            calls=tuple(data["calls"]),
-            mutated_globals=tuple(data["mutated_globals"]),
-            is_public=data["is_public"],
-        )
-
 
 @dataclass(frozen=True)
 class ModuleSummary:
@@ -149,31 +107,6 @@ class ModuleSummary:
     functions: Tuple[FunctionSummary, ...] = ()
     module_level_names: Tuple[str, ...] = ()
     task_fn_refs: Tuple[str, ...] = ()
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-serializable, order-stable)."""
-        return {
-            "name": self.name,
-            "path": self.path,
-            "imports": [list(pair) for pair in self.imports],
-            "functions": [fn.to_dict() for fn in self.functions],
-            "module_level_names": list(self.module_level_names),
-            "task_fn_refs": list(self.task_fn_refs),
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "ModuleSummary":
-        """Inverse of :meth:`to_dict`."""
-        return ModuleSummary(
-            name=data["name"],
-            path=data["path"],
-            imports=tuple((pair[0], pair[1]) for pair in data["imports"]),
-            functions=tuple(
-                FunctionSummary.from_dict(fn) for fn in data["functions"]
-            ),
-            module_level_names=tuple(data["module_level_names"]),
-            task_fn_refs=tuple(data["task_fn_refs"]),
-        )
 
 
 def _attribute_chain(node: ast.AST) -> Optional[str]:
@@ -476,23 +409,9 @@ def _collect_global_mutations(
 
 @dataclass
 class ProjectModel:
-    """Symbol table + import graph + call graph over an analyzed tree.
-
-    ``pinned_task_functions`` / ``pinned_reachable`` override the
-    graph-derived task-function and task-reachability sets. The lint
-    driver uses them to hand a worker a model restricted to one file's
-    import closure while preserving *global* facts: whether a function
-    is referenced at a ``SweepTask`` site (possibly by a module outside
-    the closure) is decided over the whole tree, then pinned here. They
-    are runtime-only and never serialized.
-    """
+    """Symbol table + call graph over an analyzed tree."""
 
     modules: Dict[str, ModuleSummary] = field(default_factory=dict)
-    pinned_task_functions: Optional[FrozenSet[str]] = None
-    pinned_reachable: Optional[FrozenSet[str]] = None
-    _import_graph_cache: Optional[Dict[str, Tuple[str, ...]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     # -- construction ------------------------------------------------
 
@@ -580,50 +499,8 @@ class ProjectModel:
 
     # -- graphs ------------------------------------------------------
 
-    def import_graph(self) -> Dict[str, Tuple[str, ...]]:
-        """Project-internal import edges: module -> imported modules.
-
-        Memoized: the driver walks dependencies for every file of the
-        tree, and the module set never changes after construction.
-        """
-        if self._import_graph_cache is not None:
-            return self._import_graph_cache
-        graph: Dict[str, Tuple[str, ...]] = {}
-        for name, summary in self.modules.items():
-            targets: Set[str] = set()
-            for _bound, target in summary.imports:
-                dotted = target.partition(":")[0]
-                # Walk up the dotted path so ``repro.dsp.units`` also
-                # records a dependency on the ``repro.dsp`` package
-                # module when it is part of the analyzed tree.
-                parts = dotted.split(".")
-                for stop in range(len(parts), 0, -1):
-                    candidate = ".".join(parts[:stop])
-                    if candidate in self.modules and candidate != name:
-                        targets.add(candidate)
-                        break
-            graph[name] = tuple(sorted(targets))
-        self._import_graph_cache = graph
-        return graph
-
-    def dependencies_of(self, module: str) -> FrozenSet[str]:
-        """Transitive project-internal imports of ``module`` (closed set)."""
-        graph = self.import_graph()
-        seen: Set[str] = set()
-        frontier = [module]
-        while frontier:
-            current = frontier.pop()
-            for target in graph.get(current, ()):
-                if target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
-        seen.discard(module)
-        return frozenset(seen)
-
     def task_functions(self) -> FrozenSet[str]:
         """Symbols of functions referenced at SweepTask creation sites."""
-        if self.pinned_task_functions is not None:
-            return self.pinned_task_functions
         symbols: Set[str] = set()
         for name, summary in self.modules.items():
             for ref in summary.task_fn_refs:
@@ -634,8 +511,6 @@ class ProjectModel:
 
     def reachable_from_tasks(self) -> FrozenSet[str]:
         """Function symbols reachable from any task fn via resolved calls."""
-        if self.pinned_reachable is not None:
-            return self.pinned_reachable
         roots = self.task_functions()
         seen: Set[str] = set(roots)
         frontier = list(roots)
@@ -650,29 +525,3 @@ class ProjectModel:
                     seen.add(callee.symbol)
                     frontier.append(callee.symbol)
         return frozenset(seen)
-
-    # -- serialization -----------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form: sorted modules, ready for JSON."""
-        return {
-            "version": MODEL_VERSION,
-            "modules": [
-                self.modules[name].to_dict()
-                for name in sorted(self.modules)
-            ],
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "ProjectModel":
-        """Inverse of :meth:`to_dict` (raises on version mismatch)."""
-        if data.get("version") != MODEL_VERSION:
-            raise ValueError(
-                f"project model version {data.get('version')!r} != "
-                f"{MODEL_VERSION}"
-            )
-        model = ProjectModel()
-        for entry in data["modules"]:
-            summary = ModuleSummary.from_dict(entry)
-            model.modules[summary.name] = summary
-        return model

@@ -35,7 +35,7 @@ from repro.analysis.dataflow import (
 )
 from repro.analysis.findings import Finding
 from repro.analysis.rules.base import ModuleContext, Rule, register
-from repro.analysis.rules.units import (
+from repro.analysis.unitlang import (
     families_compatible_additive,
     family_of,
     operand_family,

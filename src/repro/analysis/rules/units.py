@@ -23,9 +23,7 @@ from typing import Iterator, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules.base import ModuleContext, Rule, register
-from repro.analysis.unitlang import (  # noqa: F401  (re-exported legacy home)
-    PHYSICAL_STEMS,
-    UNIT_FAMILIES,
+from repro.analysis.unitlang import (
     families_compatible_additive,
     family_of,
     has_physical_stem,

@@ -20,6 +20,7 @@ that plus the seeding discipline of :mod:`repro.faults.engine`.
 from __future__ import annotations
 
 import json
+from collections import abc
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -49,6 +50,29 @@ TRIGGER_KINDS: Tuple[str, ...] = (
     "pose_index",
     "clock_window",
 )
+
+_MAPPING: Tuple[type, ...] = (abc.Mapping,)
+_NUMBER: Tuple[type, ...] = (int, float)
+
+
+def _checked(label: str, value: Any, kinds: Tuple[type, ...]) -> Any:
+    """``value`` if it is one of ``kinds`` (bools, which Python counts as
+    ints, excluded), else a :class:`ConfigurationError` naming ``label``.
+
+    Plans are decoded from scenario files and task parameters, so a
+    wrong type must fail here, typed, not deep inside a hook.
+    """
+    if isinstance(value, kinds) and not isinstance(value, bool):
+        return value
+    expected = " or ".join(kind.__name__ for kind in kinds)
+    raise ConfigurationError(
+        f"{label} must be {expected}, got {type(value).__name__}"
+    )
+
+
+def _optional(label: str, value: Any, kinds: Tuple[type, ...]) -> Any:
+    """:func:`_checked`, letting ``None`` (an absent field) through."""
+    return None if value is None else _checked(label, value, kinds)
 
 
 @dataclass(frozen=True)
@@ -130,11 +154,12 @@ class Trigger:
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "Trigger":
         """Rebuild from :meth:`to_dict` output."""
+        data = _checked("fault trigger", data, _MAPPING)
         return Trigger(
             kind=str(data.get("kind", "always")),
-            n=data.get("n"),
-            start=data.get("start"),
-            stop=data.get("stop"),
+            n=_optional("trigger key 'n'", data.get("n"), (int,)),
+            start=_optional("trigger key 'start'", data.get("start"), _NUMBER),
+            stop=_optional("trigger key 'stop'", data.get("stop"), _NUMBER),
         )
 
 
@@ -192,13 +217,31 @@ class FaultSpec:
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "FaultSpec":
         """Rebuild from :meth:`to_dict` output."""
+        data = _checked("fault spec", data, _MAPPING)
+        missing = [key for key in ("site", "action") if key not in data]
+        if missing:
+            raise ConfigurationError(
+                f"fault spec is missing required key(s) {', '.join(missing)}"
+            )
         return FaultSpec(
             site=str(data["site"]),
             action=str(data["action"]),
             trigger=Trigger.from_dict(data.get("trigger", {})),
-            rate=float(data.get("rate", 1.0)),
-            magnitude=float(data.get("magnitude", 0.0)),
-            max_injections=data.get("max_injections"),
+            rate=float(
+                _checked("fault spec key 'rate'", data.get("rate", 1.0), _NUMBER)
+            ),
+            magnitude=float(
+                _checked(
+                    "fault spec key 'magnitude'",
+                    data.get("magnitude", 0.0),
+                    _NUMBER,
+                )
+            ),
+            max_injections=_optional(
+                "fault spec key 'max_injections'",
+                data.get("max_injections"),
+                (int,),
+            ),
         )
 
 
@@ -255,11 +298,11 @@ class FaultPlan:
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "FaultPlan":
         """Rebuild from :meth:`to_dict` output."""
-        return FaultPlan(
-            tuple(
-                FaultSpec.from_dict(item) for item in data.get("specs", ())
-            )
+        data = _checked("fault plan", data, _MAPPING)
+        specs = _checked(
+            "fault plan key 'specs'", data.get("specs", ()), (list, tuple)
         )
+        return FaultPlan(tuple(FaultSpec.from_dict(item) for item in specs))
 
     def to_json(self) -> str:
         """Compact, key-sorted JSON — canonical for task parameters."""
@@ -270,4 +313,10 @@ class FaultPlan:
     @staticmethod
     def from_json(text: str) -> "FaultPlan":
         """Inverse of :meth:`to_json` (lossless, property-tested)."""
-        return FaultPlan.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as error:
+            raise ConfigurationError(
+                f"fault plan is not valid JSON: {error}"
+            ) from error
+        return FaultPlan.from_dict(data)

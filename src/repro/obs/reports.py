@@ -31,6 +31,7 @@ regression baseline; truncating it would silence the gate).
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
@@ -235,14 +236,45 @@ def write_json_atomic(path: Union[str, Path], doc: Any) -> Path:
     return path
 
 
+def _finite_float(text: str) -> float:
+    """JSON number hook: NaN and infinities (spelled out or overflowing)
+    parse in Python but are not JSON, and :func:`canonical_json` could
+    never write them back."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
+def read_json(path: Union[str, Path]) -> Any:
+    """Parse one JSON file strictly: UTF-8, finite numbers only.
+
+    The one reader for report-shaped files from outside the program.
+    An unreadable file, bytes that are not UTF-8 JSON, a non-finite
+    number, or nesting too deep for the parser all raise
+    :class:`~repro.errors.ReportError` naming the file.
+    """
+    path = Path(path)
+    try:
+        return json.loads(
+            path.read_text(encoding="utf-8"),
+            parse_float=_finite_float,
+            parse_constant=_finite_float,
+        )
+    except OSError as error:
+        raise ReportError(f"cannot read {path}: {error}") from error
+    except (ValueError, RecursionError) as error:
+        raise ReportError(f"{path} is not valid JSON: {error}") from error
+
+
 def load_report(path: Union[str, Path]) -> Dict[str, Any]:
     """Read and validate one report file (stem-checked for BENCH_*)."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as error:
-        raise ReportError(f"cannot read report {path}: {error}") from error
+    doc = read_json(path)
     stem = path.stem
     expected = stem[len("BENCH_"):] if stem.startswith("BENCH_") else None
-    validate_report(doc, name=expected)
+    try:
+        validate_report(doc, name=expected)
+    except RecursionError as error:
+        raise ReportError(f"{path} nests too deeply to validate") from error
     return doc

@@ -826,8 +826,14 @@ class Scenario:
             "fault_plan": FaultPlan.from_dict,
         }
         for key, converter in converters.items():
-            if isinstance(kwargs.get(key), Mapping):
-                kwargs[key] = converter(kwargs[key])
+            section = kwargs.get(key)
+            if isinstance(section, Mapping):
+                kwargs[key] = converter(section)
+            elif section is not None:
+                raise ConfigurationError(
+                    f"scenario section {key!r} must be a table, "
+                    f"got {type(section).__name__}"
+                )
         return Scenario(**kwargs)
 
     def to_json(self) -> str:

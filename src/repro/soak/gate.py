@@ -35,7 +35,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import GateError, TrendError
+from repro.errors import GateError, ReportError
+from repro.obs.reports import read_json
 from repro.soak import trend as trend_mod
 
 #: Default allowed regression, as a fraction of the baseline value.
@@ -226,7 +227,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI for ``python -m repro.soak gate``.
 
     Exit codes: 0 pass (including bootstrap), 1 regression, 2 unusable
-    inputs (corrupt trend, bad tolerance, missing current file).
+    inputs (corrupt trend or current file, bad tolerance, missing
+    current file).
     """
     parser = argparse.ArgumentParser(
         prog="python -m repro.soak gate",
@@ -263,12 +265,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise GateError(
                     f"current entry file not found: {current_path}"
                 )
-            current = json.loads(current_path.read_text(encoding="utf-8"))
+            current = read_json(current_path)
         tolerances = {
             metric: args.tolerance for metric in WATCHED_METRICS
         }
         report = run_gate(args.trend, current, tolerances)
-    except (TrendError, GateError, json.JSONDecodeError) as error:
+    except (ReportError, GateError) as error:
         print(f"ERROR: {error}", file=sys.stderr)
         return 2
     print(report.render())

@@ -21,10 +21,11 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.errors import TrendError
+from repro.errors import ReportError, TrendError
 from repro.obs.reports import (
     REPORT_SCHEMA_VERSION,
     canonical_json,
+    read_json,
     validate_report,
     write_json_atomic,
 )
@@ -148,11 +149,9 @@ def load_trend(path: Union[str, Path]) -> Dict[str, Any]:
     if not path.exists():
         return new_trend()
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as error:
-        raise TrendError(
-            f"trend file {path} is not valid JSON: {error}"
-        ) from error
+        doc = read_json(path)
+    except ReportError as error:
+        raise TrendError(f"trend file: {error}") from error
     try:
         validate_report(doc, name="soak_trend")
     except TrendError:

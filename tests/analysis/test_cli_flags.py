@@ -159,7 +159,9 @@ class TestBaselinePortability:
         relative = Finding("m.py", 4, 0, "U101", "msg")
         assert apply_baseline([relative], load_baseline(str(baseline))) == []
 
-    def test_legacy_raw_keys_still_honored(self):
-        finding = Finding("/abs/elsewhere/m.py", 1, 0, "U101", "msg")
-        legacy_keys = {finding.baseline_key()}
-        assert apply_baseline([finding], legacy_keys) == []
+    def test_v1_baseline_is_a_usage_error(self, tmp_path, capsys):
+        (tmp_path / "bad.py").write_text(BROKEN)
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({"version": 1, "keys": []}))
+        assert main([str(tmp_path), "--baseline", str(baseline)]) == 2
+        assert "cannot load baseline" in capsys.readouterr().err

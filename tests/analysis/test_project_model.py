@@ -1,28 +1,10 @@
-"""Project model: extraction, resolution, graphs, and round-trips.
-
-The serialization round-trips are hypothesis-pinned because the model
-ships between processes as JSON: any field the ``to_dict``/``from_dict``
-pair drops or reorders would silently change worker-side findings.
-"""
+"""Project model: extraction, resolution, and call-graph reachability."""
 
 from __future__ import annotations
 
 import ast
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.analysis.project import (
-    FunctionSummary,
-    ModuleSummary,
-    ProjectModel,
-    module_name_for_path,
-)
-
-FAMILIES = ("db", "dbm", "hz", "m", "s", "angle", "watts", "ppm")
-
-identifiers = st.from_regex(r"[a-z][a-z0-9_]{0,10}", fullmatch=True)
-dotted = st.lists(identifiers, min_size=1, max_size=3).map(".".join)
+from repro.analysis.project import ProjectModel, module_name_for_path
 
 
 def _model(sources: "dict[str, str]") -> ProjectModel:
@@ -124,20 +106,6 @@ class TestResolution:
 
 
 class TestGraphs:
-    def test_import_graph_and_transitive_dependencies(self):
-        model = _model(
-            {
-                "a.py": "import b\n",
-                "b.py": "import c\n",
-                "c.py": "X = 1\n",
-            }
-        )
-        graph = model.import_graph()
-        assert graph["a"] == ("b",)
-        assert graph["b"] == ("c",)
-        assert model.dependencies_of("a") == frozenset({"b", "c"})
-        assert model.dependencies_of("c") == frozenset()
-
     def test_reachability_crosses_modules(self):
         model = _model(
             {
@@ -159,66 +127,3 @@ class TestGraphs:
         assert "worker:trial" in reachable
         assert "helpers:shared" in reachable
         assert "main:build" not in reachable
-
-
-function_summaries = st.builds(
-    FunctionSummary,
-    qualname=dotted,
-    module=dotted,
-    line=st.integers(min_value=1, max_value=10_000),
-    params=st.lists(identifiers, max_size=4).map(tuple),
-    param_families=st.lists(
-        st.tuples(identifiers, st.sampled_from(FAMILIES)), max_size=3
-    ).map(tuple),
-    return_family=st.none() | st.sampled_from(FAMILIES),
-    calls=st.lists(dotted, max_size=4).map(tuple),
-    mutated_globals=st.lists(identifiers, max_size=3).map(tuple),
-    is_public=st.booleans(),
-)
-
-module_summaries = st.builds(
-    ModuleSummary,
-    name=dotted,
-    path=identifiers.map(lambda s: f"src/{s}.py"),
-    imports=st.lists(st.tuples(identifiers, dotted), max_size=4).map(tuple),
-    functions=st.lists(function_summaries, max_size=3).map(tuple),
-    module_level_names=st.lists(identifiers, max_size=4).map(tuple),
-    task_fn_refs=st.lists(identifiers, max_size=2).map(tuple),
-)
-
-
-class TestRoundTrips:
-    @given(summary=function_summaries)
-    def test_function_summary_roundtrip(self, summary):
-        assert FunctionSummary.from_dict(summary.to_dict()) == summary
-
-    @given(summary=module_summaries)
-    def test_module_summary_roundtrip(self, summary):
-        assert ModuleSummary.from_dict(summary.to_dict()) == summary
-
-    @settings(max_examples=25)
-    @given(summaries=st.lists(module_summaries, max_size=3, unique_by=lambda s: s.name))
-    def test_project_model_roundtrip(self, summaries):
-        model = ProjectModel()
-        for summary in summaries:
-            model.modules[summary.name] = summary
-        rebuilt = ProjectModel.from_dict(model.to_dict())
-        assert rebuilt.modules == model.modules
-
-    @settings(max_examples=25)
-    @given(summaries=st.lists(module_summaries, max_size=3, unique_by=lambda s: s.name))
-    def test_to_dict_is_canonical(self, summaries):
-        """Insertion order must not leak into the serialized form."""
-        forward = ProjectModel()
-        for summary in summaries:
-            forward.modules[summary.name] = summary
-        backward = ProjectModel()
-        for summary in reversed(summaries):
-            backward.modules[summary.name] = summary
-        assert forward.to_dict() == backward.to_dict()
-
-    def test_version_mismatch_raises(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            ProjectModel.from_dict({"version": -1, "modules": []})

@@ -113,6 +113,18 @@ class TestFaultPlan:
         assert pickle.loads(pickle.dumps(plan)) == plan
         assert hash(plan) == hash(pickle.loads(pickle.dumps(plan)))
 
+    @pytest.mark.parametrize(
+        ("text", "named"),
+        [
+            ("", "not valid JSON"),
+            ("[]", "fault plan must be"),
+            ("[" * 100_000, "not valid JSON"),
+        ],
+    )
+    def test_from_json_rejects_non_plans_typed(self, text, named):
+        with pytest.raises(ConfigurationError, match=named):
+            FaultPlan.from_json(text)
+
 
 # -- hypothesis: JSON round-trip is lossless -----------------------------------
 

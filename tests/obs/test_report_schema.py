@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ReportError
 from repro.obs.reports import (
@@ -27,6 +30,7 @@ from repro.obs.reports import (
     validate_report,
     write_json_atomic,
 )
+from repro.soak.trend import load_trend
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 REPORTS_DIR = REPO_ROOT / "benchmarks" / "reports"
@@ -187,3 +191,88 @@ def test_failed_write_leaves_the_existing_report_intact(tmp_path):
         write_json_atomic(path, {"bad": object()})
     assert path.read_bytes() == before
     assert not list(tmp_path.glob("*.tmp"))
+
+
+# -- hostile files: the loaders raise ReportError and nothing else ---------------
+
+LOADERS = pytest.mark.parametrize(
+    "loader", [load_report, load_trend], ids=["load_report", "load_trend"]
+)
+
+
+def _trend_text(metric: float) -> str:
+    """A soak trend that both loaders accept, save for ``metric``."""
+    entry = {"key": {}, "counts": {}, "metrics": {"p99_latency_ms": metric}}
+    doc = {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "kind": "soak_trend",
+        "name": "soak_trend",
+        "entries": [entry],
+    }
+    return json.dumps(doc)
+
+
+@LOADERS
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"\xff\xfe{}",
+        b"[" * 100_000,
+        _trend_text(float("nan")).encode(),
+        _trend_text(float("inf")).encode(),
+        _trend_text(1.0).replace("1.0", "1e999").encode(),
+    ],
+    ids=["utf16_bom", "deep_nesting", "nan", "infinity", "overflow"],
+)
+def test_hostile_file_is_a_report_error(loader, payload, tmp_path):
+    path = tmp_path / "SOAK_TREND.json"
+    path.write_bytes(payload)
+    with pytest.raises(ReportError):
+        loader(path)
+
+
+def test_nesting_just_inside_the_parser_limit_is_a_report_error(tmp_path):
+    """A report that parses but nests too deeply to validate fails
+    typed too, wherever the caller's stack depth puts that window."""
+    path = tmp_path / "report.json"
+    for depth in range(sys.getrecursionlimit(), 0, -1):
+        nested = "[" * depth + "]" * depth
+        path.write_text(
+            '{"schema_version": 1, "kind": "bench", "name": "x", '
+            f'"metrics": {{"a": {nested}}}}}',
+            encoding="utf-8",
+        )
+        try:
+            load_report(path)
+        except ReportError:
+            continue
+        break  # this depth validated, so every shallower one does too
+
+
+#: Keys of the report envelope, so generated documents reach the
+#: validator's branches instead of failing at the first lookup.
+ENVELOPE_KEYS = st.sampled_from(
+    ["schema_version", "kind", "name", "metrics", "entries", "key", "counts"]
+)
+json_documents = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(["bench", "soak_trend"])
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(ENVELOPE_KEYS | st.text(max_size=6), children, max_size=5),
+    max_leaves=16,
+).map(lambda doc: json.dumps(doc).encode())
+
+
+@given(payload=st.binary(max_size=64) | json_documents)
+def test_loaders_raise_only_report_errors(payload, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "SOAK_TREND.json"
+    path.write_bytes(payload)
+    for loader in (load_report, load_trend):
+        try:
+            loader(path)
+        except ReportError:
+            pass

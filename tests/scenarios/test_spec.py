@@ -117,6 +117,44 @@ class TestMissingRequiredKeys:
             registry.load_file(path)
 
 
+def _drop_spec(**extra):
+    return {"site": "channel.link", "action": "drop", **extra}
+
+
+class TestMalformedFaultPlan:
+    """A bad ``fault_plan`` section fails with a typed error naming the
+    missing key or the wrong type, from a mapping or from a file."""
+
+    CASES = {
+        "spec_without_site": ({"specs": [{}]}, "site"),
+        "specs_not_a_list": ({"specs": 5}, "'specs'"),
+        "spec_not_a_table": ({"specs": [5]}, "fault spec must be"),
+        "rate_not_a_number": ({"specs": [_drop_spec(rate="often")]}, "'rate'"),
+        "trigger_n_not_an_int": (
+            {"specs": [_drop_spec(trigger={"kind": "nth_call", "n": "3"})]},
+            "'n'",
+        ),
+        "plan_not_a_table": (5, "'fault_plan'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_from_dict(self, case):
+        plan, named = self.CASES[case]
+        with pytest.raises(ConfigurationError, match=named):
+            Scenario.from_dict({"name": "faulty", "fault_plan": plan})
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_load_file(self, case, tmp_path):
+        plan, named = self.CASES[case]
+        path = tmp_path / "faulty.toml"
+        path.write_text(
+            toml_codec.dumps({"name": "faulty", "fault_plan": plan}),
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigurationError, match=named):
+            registry.load_file(path)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", registry.names())
     def test_shipped_scenarios_round_trip_json(self, name):

@@ -175,3 +175,14 @@ def test_cli_missing_current_file_is_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_cli_undecodable_trend_or_current_is_exit_2(tmp_path, capsys):
+    undecodable = tmp_path / "utf16.json"
+    undecodable.write_bytes(b"\xff\xfe{}")
+    good = _trend_file(tmp_path, _entry())
+    assert gate.main(["--trend", str(undecodable)]) == 2
+    assert (
+        gate.main(["--trend", str(good), "--current", str(undecodable)]) == 2
+    )
+    assert capsys.readouterr().err.count("not valid JSON") == 2

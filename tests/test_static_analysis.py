@@ -9,37 +9,49 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import analyze_paths
-from repro.analysis.baseline import apply_baseline, load_baseline
+from repro.analysis.baseline import apply_baseline, load_baseline, portable_key
 from repro.analysis.reporting import render_text
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPO_SRC = REPO_ROOT / "src" / "repro"
 
-#: Grandfathered findings (currently fig10's bench-level tag placement
-#: under A406). The baseline may only ratchet down — new findings fail.
+#: Grandfathered findings (empty today). The baseline may only ratchet
+#: down — new findings fail.
 BASELINE_FILE = REPO_ROOT / "reprolint-baseline.json"
+
+
+@pytest.fixture(scope="module")
+def package_findings():
+    """One whole-package lint shared by the gate tests (a ~4.5 s pass).
+
+    Baseline keys are repo-relative, so the analysis runs from the
+    repository root.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(REPO_ROOT)
+        return analyze_paths([str(REPO_SRC)])
 
 
 def test_source_tree_exists():
     assert REPO_SRC.is_dir(), f"expected package sources at {REPO_SRC}"
 
 
-def test_package_has_zero_findings(monkeypatch):
+def test_package_has_zero_findings(monkeypatch, package_findings):
     monkeypatch.chdir(REPO_ROOT)  # baseline keys are repo-relative
     findings = apply_baseline(
-        analyze_paths([str(REPO_SRC)]), load_baseline(str(BASELINE_FILE))
+        package_findings, load_baseline(str(BASELINE_FILE))
     )
     assert findings == [], "\n" + render_text(findings)
 
 
-def test_baseline_only_suppresses_live_findings(monkeypatch):
+def test_baseline_only_suppresses_live_findings(monkeypatch, package_findings):
     """Every baseline key still matches a real finding — stale keys
     mean the site was fixed and the baseline must ratchet down."""
-    from repro.analysis.baseline import portable_key
-
     monkeypatch.chdir(REPO_ROOT)
-    live = {portable_key(f) for f in analyze_paths([str(REPO_SRC)])}
+    live = {portable_key(f) for f in package_findings}
     stale = load_baseline(str(BASELINE_FILE)) - live
     assert stale == set(), f"stale baseline keys: {sorted(stale)}"
 
@@ -77,17 +89,3 @@ def test_flow_rules_are_exercised_by_the_gate():
         (Path(tmp) / "bad.py").write_text(source)
         findings = analyze_paths([tmp])
         assert any(f.code == "U111" for f in findings)
-
-
-def test_driver_matches_inline_on_package(tmp_path):
-    """The runtime-backed driver is the CI path for big trees: it must
-    agree byte-for-byte with the in-process engine on the real package."""
-    from repro.analysis.driver import analyze_project
-    from repro.runtime import RuntimeConfig
-
-    driven = analyze_project(
-        [str(REPO_SRC / "analysis")],
-        runtime=RuntimeConfig(backend="serial", cache_dir=tmp_path / "cache"),
-    )
-    inline = analyze_paths([str(REPO_SRC / "analysis")])
-    assert render_text(driven) == render_text(inline)
