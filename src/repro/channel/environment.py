@@ -16,7 +16,7 @@ import numpy as np
 
 from repro import faults
 from repro.channel.geometry import Wall, as_point, segments_cross
-from repro.channel.multipath import Ray, one_way_channel, trace_rays
+from repro.channel.multipath import Ray, WallSet, one_way_channel
 from repro.errors import GeometryError
 
 
@@ -39,11 +39,16 @@ GLASS = Material(2.0, 0.15, "glass")
 
 
 class Environment:
-    """A set of walls plus channel-query helpers."""
+    """A set of walls plus channel-query helpers.
+
+    ``walls`` may be edited in place; the tracer's per-wall constants are
+    rebuilt on the next query after any change to it.
+    """
 
     def __init__(self, walls: Sequence[Wall] = (), max_reflections: int = 1) -> None:
         self.walls: List[Wall] = list(walls)
         self.max_reflections = int(max_reflections)
+        self._wall_set = WallSet(self.walls)
 
     def add_wall(
         self,
@@ -65,7 +70,9 @@ class Environment:
 
     def rays_between(self, a, b) -> List[Ray]:
         """All propagation paths between two points."""
-        return trace_rays(a, b, self.walls, max_reflections=self.max_reflections)
+        if not self._wall_set.holds(self.walls):
+            self._wall_set = WallSet(self.walls)
+        return self._wall_set.trace(a, b, max_reflections=self.max_reflections)
 
     def channel(self, a, b, frequency_hz: float) -> complex:
         """One-way complex channel between two points.

@@ -58,14 +58,21 @@ class Wall:
 
     def __post_init__(self) -> None:
         p1, p2 = as_point(self.start), as_point(self.end)
+        if not (np.isfinite(p1).all() and np.isfinite(p2).all()):
+            raise GeometryError(
+                f"wall {self.name!r} endpoints must be finite: {p1}, {p2}"
+            )
         if np.allclose(p1, p2):
             raise GeometryError(f"wall {self.name!r} is degenerate: {p1} == {p2}")
         if not 0.0 <= self.reflectivity <= 1.0:
             raise GeometryError(
                 f"reflectivity must lie in [0, 1], got {self.reflectivity}"
             )
-        if self.transmission_loss_db < 0:
-            raise GeometryError("transmission loss must be >= 0 dB")
+        if not 0.0 <= self.transmission_loss_db < np.inf:
+            raise GeometryError(
+                "transmission loss must be finite and >= 0 dB, "
+                f"got {self.transmission_loss_db}"
+            )
         object.__setattr__(self, "start", tuple(map(float, self.start)))
         object.__setattr__(self, "end", tuple(map(float, self.end)))
 
@@ -150,6 +157,8 @@ def reflection_point(a, b, wall: Wall) -> Optional[Point]:
     segment (or either endpoint sits on the wall's line).
     """
     a, b = as_point(a), as_point(b)
+    if np.allclose(mirror_point(a, wall), a, atol=_EPS):
+        return None  # a lies on the wall plane: no reflection geometry
     image = mirror_point(b, wall)
     if np.allclose(image, b, atol=_EPS):
         return None  # b lies on the wall plane: no reflection geometry

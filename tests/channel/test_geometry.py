@@ -19,16 +19,22 @@ coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
 class TestWall:
     def test_degenerate_rejected(self):
-        with pytest.raises(GeometryError):
-            Wall((1.0, 1.0), (1.0, 1.0))
+        for start, end in (
+            ((1.0, 1.0), (1.0, 1.0)),
+            ((np.nan, 0.0), (1.0, 0.0)),
+            ((0.0, 0.0), (np.inf, 0.0)),
+        ):
+            with pytest.raises(GeometryError):
+                Wall(start, end)
 
     def test_reflectivity_bounds(self):
         with pytest.raises(GeometryError):
             Wall((0, 0), (1, 0), reflectivity=1.5)
 
     def test_negative_loss_rejected(self):
-        with pytest.raises(GeometryError):
-            Wall((0, 0), (1, 0), transmission_loss_db=-1.0)
+        for loss in (-1.0, np.nan, np.inf):
+            with pytest.raises(GeometryError):
+                Wall((0, 0), (1, 0), transmission_loss_db=loss)
 
     def test_normal_is_perpendicular(self):
         wall = Wall((0, 0), (2, 2))
@@ -107,6 +113,7 @@ class TestReflectionPoint:
     def test_point_on_wall_plane_gives_none(self):
         wall = Wall((0, 0), (10, 0))
         assert reflection_point((2.0, 1.0), (4.0, 0.0), wall) is None
+        assert reflection_point((4.0, 0.0), (2.0, 1.0), wall) is None
 
     def test_equal_angles(self):
         """Specular law: incidence angle equals reflection angle."""

@@ -74,8 +74,22 @@ class TestTraceRays:
         assert len(rays) == 1
 
     def test_same_point_rejected(self):
-        with pytest.raises(GeometryError):
-            trace_rays((1, 1), (1, 1))
+        for a, b in (
+            ((1, 1), (1, 1)),
+            ((np.nan, 0), (1, 0)),
+            ((np.inf, 0), (1, 0)),
+            ((0, 0), (1, -np.inf)),
+        ):
+            with pytest.raises(GeometryError):
+                trace_rays(a, b)
+
+    def test_endpoint_on_wall_line_is_reciprocal(self):
+        """An endpoint on a wall's line has no bounce off it, either way."""
+        shelf = Wall((0, 0), (10, 0), transmission_loss_db=35, reflectivity=0.85)
+        there = trace_rays((5, 0), (3, 2), [shelf])
+        back = trace_rays((3, 2), (5, 0), [shelf])
+        assert [r.description for r in there] == ["direct"]
+        assert [(r.length, r.gain) for r in there] == [(r.length, r.gain) for r in back]
 
     def test_excessive_order_rejected(self):
         with pytest.raises(GeometryError):
@@ -115,8 +129,14 @@ class TestChannels:
         assert h_d < 0.02 * h_c
 
     def test_invalid_frequency(self):
-        with pytest.raises(GeometryError):
-            one_way_channel([Ray(1.0, 1.0, 0)], 0.0)
+        for frequency in (0.0, np.nan, np.inf):
+            with pytest.raises(GeometryError):
+                one_way_channel([Ray(1.0, 1.0, 0)], frequency)
+
+    def test_non_finite_ray_rejected(self):
+        for length, gain in ((np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)):
+            with pytest.raises(GeometryError):
+                Ray(length, gain, 0)
 
 
 class TestEnvironment:
