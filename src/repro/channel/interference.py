@@ -19,8 +19,9 @@ the task seed: the serving relay's SNR is reduced by
 
 evaluated independently at the tag and at the reader and summed. With
 no co-channel interferer the penalty is *exactly* ``0.0`` (not a
-rounded float), which is what keeps single-relay fleets bit-identical
-to the pre-fleet path.
+rounded float), so a relay without co-channel neighbors — the lone
+relay of a plain scenario among them — measures at exactly the
+scenario's SNR.
 """
 
 from __future__ import annotations

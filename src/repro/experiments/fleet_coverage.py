@@ -2,10 +2,10 @@
 relay-selection policy shootout.
 
 Two tables from one sweep. The first scales a single-aisle scenario to
-``N`` relays with :func:`repro.fleet.plan.scale_fleet` (``N=1`` is the
-pre-fleet relay bit for bit; larger fleets split the aisle into ``N``
-contiguous segments flown simultaneously on alternating frequency
-slots — reuse-2) and replays each workload through the
+``N`` relays with :func:`repro.fleet.plan.scale_fleet` (``N=1`` flies
+the scenario's own relay bit for bit; larger fleets split the aisle
+into ``N`` contiguous segments flown simultaneously on alternating
+frequency slots — reuse-2) and replays each workload through the
 serving layer with a ``relay.handoff`` drop fault engaged — so the
 table reports coverage (reads per tag), accuracy, handoff counts, the
 updates lost in handoff windows, and the **silent** column: sessions

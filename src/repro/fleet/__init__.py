@@ -1,8 +1,9 @@
 """Multi-relay fleets: trajectories, frequency plans, relay selection.
 
 The paper's warehouse vision (§9) is a *fleet* of relay drones covering
-a facility. This package generalizes the single-relay simulation to N
-relays:
+a facility. This package runs the simulation with N relays, and every
+scenario goes through it: one without a ``fleet`` block flies the
+implicit fleet of one, the paper's single relay.
 
 * :mod:`repro.fleet.plan` — :class:`FleetPlan`: per-relay realized
   trajectories plus a frequency plan validated against the daisy-chain
@@ -11,15 +12,11 @@ relays:
 * :mod:`repro.fleet.selection` — per-tag relay-selection policies
   (``nearest``, ``best_link_budget``, ``epsilon_greedy``) as pure,
   picklable strategy objects.
-* :mod:`repro.fleet.workload` — the fleet traffic generator: one
-  merged pose timeline across relays, per-tag serving-relay
-  assignment, co-channel interference folded into the SNR, and
-  relay-tagged update events that drive session handoff in
-  :mod:`repro.serve`.
-
-A one-relay fleet is bit-identical to the pre-fleet single-relay path:
-same draw order, no policy rng draws with a single candidate, and an
-exact-zero interference penalty without co-channel interferers.
+* :mod:`repro.fleet.workload` — the traffic generator behind
+  :func:`repro.scenarios.compiler.generate_workload`: one merged pose
+  timeline across relays, per-tag serving-relay assignment,
+  co-channel interference folded into the SNR, and relay-tagged
+  update events that drive session handoff in :mod:`repro.serve`.
 """
 
 from __future__ import annotations

@@ -8,21 +8,23 @@ tag-side carrier frequencies. Validation reuses the daisy-chain rule
 positive so the relay's output clears the reader's channel) and the
 FCC band of :func:`repro.relay.freq_discovery.ism_channels` — every
 tag-side carrier must land inside both the 902-928 MHz channelization
-and the scenario's declared ``[band_low_hz, band_high_hz]``.
+and the scenario's declared ``[band_low_hz, band_high_hz]``. A scenario
+that declares no fleet flies the implicit fleet of one
+(:func:`resolve_fleet`), which is not band-checked.
 
 Seeding follows the runtime spawn discipline: relays with their own
 (possibly random) trajectory specs realize from ``SeedSequence``
 children of the task seed, one child per relay index, so relay ``i``'s
 flight depends only on ``(seed, i)`` — never on how many other relays
-fly or on the base world's draw stream. Relay 0 with no explicit
-trajectory inherits the *world's* realized trajectory, which is what
-keeps a one-relay fleet bit-identical to the single-relay path.
+fly or on the base world's draw stream. A relay with no explicit
+trajectory inherits the *world's* realized trajectory, as the implicit
+fleet's one relay does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -39,7 +41,6 @@ from repro.scenarios.spec import (
     Scenario,
     TrajectorySpec,
 )
-
 
 
 @dataclass(frozen=True)
@@ -96,10 +97,6 @@ class FleetPlan:
     def co_channel_groups(self) -> List[List[int]]:
         """Relay indices clustered by co-channel carriers."""
         return co_channel_groups(self.frequencies_hz(), self.guard_hz)
-
-    def positions_at_time(self, time_s: float) -> List[np.ndarray]:
-        """Every relay's position at ``time_s``, in fleet order."""
-        return [relay.position_at_time(time_s) for relay in self.relays]
 
 
 def _resolved_shift_hz(scenario: Scenario, relay: RelaySpec) -> float:
@@ -162,17 +159,31 @@ def validate_fleet(scenario: Scenario) -> FleetSpec:
     return fleet
 
 
+def resolve_fleet(scenario: Scenario) -> FleetSpec:
+    """The fleet a scenario flies.
+
+    A declared fleet is band-checked by :func:`validate_fleet`. A
+    scenario without one flies the implicit ``FleetSpec()``: one relay,
+    ``relay-00``, on the world's trajectory with the radio's
+    ``relay_shift_hz`` and ``relay_gain_db``. Its carrier is left
+    unchecked, as it was before fleets existed.
+    """
+    if scenario.fleet is None:
+        return FleetSpec()
+    return validate_fleet(scenario)
+
+
 def realize_fleet(
     scenario: Scenario, world: RealizedWorld, seed: int
 ) -> FleetPlan:
     """Lower the scenario's fleet against a realized world.
 
     Relays without an explicit trajectory fly the world's realized
-    trajectory (shared; relay 0 of a default fleet IS the pre-fleet
-    relay). Relays with their own spec realize it from a spawned seed
-    child — by relay index, independent of the base draw stream.
+    trajectory (shared, not re-realized). Relays with their own spec
+    realize it from a spawned seed child — by relay index, independent
+    of the base draw stream.
     """
-    fleet = validate_fleet(scenario)
+    fleet = resolve_fleet(scenario)
     child_seeds = spawn_task_seeds(seed, len(fleet.relays))
     relays: List[RelayPlan] = []
     for index, (name, relay) in enumerate(
@@ -236,8 +247,8 @@ def scale_fleet(scenario: Scenario, fleet_size: int) -> Scenario:
     between next-nearest segments — frequency reuse-2.
 
     With ``fleet_size=1`` the single relay declares no trajectory and
-    therefore inherits the world's realized trajectory: bit-identical
-    to the pre-fleet single-relay path.
+    therefore inherits the world's realized trajectory: the same flight
+    as the scenario without a fleet block.
     """
     if fleet_size < 1:
         raise ConfigurationError("fleet_size must be >= 1")

@@ -1,12 +1,12 @@
 """Per-tag relay-selection policies.
 
-At every pose instant each powered tag is served by exactly one relay;
-the policy picks which. Policies are pure, picklable strategy objects
-(they ride inside sweep-task closures to process-pool workers), and
-all of them share one invariant the bit-identity suite pins: **a
-single candidate is returned immediately with no rng draw and no state
-update**, so a one-relay fleet consumes exactly the same random stream
-as the pre-fleet path.
+At every pose instant each powered tag is served by exactly one relay.
+When several relays can power it, the policy picks which; a tag that
+only one relay powers is served by that relay without consulting the
+policy (:mod:`repro.fleet.workload`), so a policy never sees fewer than
+two candidates there and a fleet of one never calls it. Policies are
+pure, picklable strategy objects (they ride inside sweep-task closures
+to process-pool workers).
 
 ``nearest`` and ``best_link_budget`` are stateless and deterministic;
 ``epsilon_greedy`` keeps a per-(tag, relay) running reward (the
@@ -54,8 +54,6 @@ class NearestPolicy:
         """Fleet index of the serving relay."""
         if not candidates:
             raise ConfigurationError("select() needs at least one candidate")
-        if len(candidates) == 1:
-            return candidates[0].index
         best = min(candidates, key=lambda c: (c.distance_m, c.index))
         return best.index
 
@@ -74,8 +72,6 @@ class BestLinkBudgetPolicy:
         """Fleet index of the serving relay."""
         if not candidates:
             raise ConfigurationError("select() needs at least one candidate")
-        if len(candidates) == 1:
-            return candidates[0].index
         best = max(
             candidates, key=lambda c: (c.link_budget_db, -c.index)
         )
@@ -121,8 +117,6 @@ class EpsilonGreedyPolicy:
         """Fleet index of the serving relay."""
         if not candidates:
             raise ConfigurationError("select() needs at least one candidate")
-        if len(candidates) == 1:
-            return candidates[0].index
         if self.epsilon > 0.0 and self._rng.random() < self.epsilon:
             pick = int(self._rng.integers(0, len(candidates)))
             return candidates[pick].index

@@ -1,32 +1,31 @@
-"""Fleet traffic generation: N relays, one merged Gen2 read stream.
+"""Traffic generation: N relays, one merged Gen2 read stream.
 
-This is the fleet counterpart of
-:func:`repro.scenarios.compiler.generate_workload`, and it preserves
-that function's determinism contract *exactly* in the degenerate case:
-with one relay flying the scenario's own trajectory, every draw — the
-world realization, tag epc generators, MAC slot draws, measurement
-noise — comes from the same base generator in the same order, the
-interference penalty is exactly ``0.0``, and the selection policy
-returns a lone candidate without touching any rng, so the produced
-event stream is bit-identical to the pre-fleet path (the equivalence
-suite pins this).
+Every scenario lowers to its read stream here
+(:func:`repro.scenarios.compiler.generate_workload` delegates). A
+scenario without a ``fleet`` block flies the implicit fleet of one
+(:func:`~repro.fleet.plan.resolve_fleet`): the paper's single relay,
+named ``relay-00``. Every draw — the world realization, tag epc
+generators, MAC slot draws, measurement noise — comes from one base
+generator seeded by ``seed``, in that order.
 
-For N > 1 the pose timelines of all relays merge into one globally
-ordered stream (sorted by ``(time, relay index)`` — relays launch
+The pose timelines of all relays merge into one globally ordered
+stream (sorted by ``(time, relay index)`` — relays launch
 simultaneously at t=0). At each pose instant every powered tag is
-assigned exactly one serving relay by the fleet's selection policy;
-only the relay taking the current pose inventories its assigned tags
-(through the shared Gen2 MAC draw stream), and each resulting
-measurement is taken through that relay's own frequency plan with the
-co-channel interference of every other active relay folded into its
-SNR. Events carry the serving relay's name, which is what drives
-session handoff in :mod:`repro.serve`.
+assigned exactly one serving relay: the only relay that powers it, or
+the fleet's selection policy's pick when several do. Only the relay
+taking the current pose inventories its assigned tags (through the
+shared Gen2 MAC draw stream), and each resulting measurement is taken
+through that relay's own frequency plan with the co-channel
+interference of every other active relay folded into its SNR (exactly
+``0.0`` without a co-channel interferer). Events carry the serving
+relay's name, which is what drives session handoff in
+:mod:`repro.serve`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from repro.channel.interference import (
 )
 from repro.channel.pathloss import free_space_path_loss_db
 from repro.errors import ConfigurationError
-from repro.fleet.plan import FleetPlan, RelayPlan, realize_fleet
+from repro.fleet.plan import FleetPlan, RelayPlan, realize_fleet, resolve_fleet
 from repro.fleet.selection import RelayCandidate, build_policy
 from repro.hardware.tag import PassiveTag
 from repro.localization.measurement import MeasurementModel
@@ -48,20 +47,6 @@ from repro.scenarios.compiler import build_grid, realize_world, resolve_snr_db
 from repro.scenarios.spec import Scenario
 from repro.serve.traffic import TrafficWorkload, UpdateEvent
 from repro.sim import events
-
-
-def _relay_model(
-    spec: Scenario, environment: Any, reader_position: np.ndarray,
-    relay: RelayPlan,
-) -> MeasurementModel:
-    """The through-relay model for one fleet relay's frequency slot."""
-    return MeasurementModel(
-        environment=environment,
-        reader_position=reader_position,
-        reader_frequency_hz=spec.radio.center_frequency_hz,
-        frequency_shift_hz=relay.shift_hz,
-        relay_gain_db=relay.gain_db,
-    )
 
 
 def _link_budget_db(
@@ -98,18 +83,12 @@ def generate_fleet_workload(
     powering_range_m: Optional[float] = None,
     tracker: Optional[OptiTrack] = None,
 ) -> TrafficWorkload:
-    """Lower a fleet scenario to a replayable, relay-tagged read stream.
+    """Lower a scenario to a replayable, relay-tagged read stream.
 
-    Mirrors :func:`repro.scenarios.compiler.generate_workload` knob for
-    knob; the scenario must declare a :class:`~repro.scenarios.spec.
-    FleetSpec`. All randomness comes from ``seed``.
+    The body of :func:`repro.scenarios.compiler.generate_workload`,
+    knob for knob. All randomness comes from ``seed``.
     """
     spec = registry.resolve(scenario)
-    if spec.fleet is None:
-        raise ConfigurationError(
-            f"scenario {spec.name!r} declares no fleet; use "
-            "repro.scenarios.generate_workload"
-        )
     resolved_load = spec.traffic.load if load is None else float(load)
     if resolved_load <= 0:
         raise ConfigurationError("load factor must be positive")
@@ -126,13 +105,17 @@ def generate_fleet_workload(
     )
 
     # Base draw stream: world realization first, tag generators second,
-    # then the per-pose MAC/noise draws — the single-relay draw order.
+    # then the per-pose MAC/noise draws.
     rng = np.random.default_rng(seed)
     world = realize_world(spec, rng, n_tags=n_tags)
     plan: FleetPlan = realize_fleet(spec, world, seed)
     models = [
-        _relay_model(
-            spec, world.environment, world.reader_position_m, relay
+        MeasurementModel(
+            environment=world.environment,
+            reader_position=world.reader_position_m,
+            reader_frequency_hz=spec.radio.center_frequency_hz,
+            frequency_shift_hz=relay.shift_hz,
+            relay_gain_db=relay.gain_db,
         )
         for relay in plan.relays
     ]
@@ -153,7 +136,16 @@ def generate_fleet_workload(
         )
         for index, position in enumerate(world.tag_positions_m)
     ]
-    session_ids = {tag.epc_int: f"tag-{tag.epc_int:04d}" for tag in tags}
+    # Read once: ``epc_int`` rebuilds the integer from the EPC bits on
+    # every access.
+    epcs = [tag.epc_int for tag in tags]
+    session_ids = [f"tag-{epc:04d}" for epc in epcs]
+    tag_positions = [np.asarray(tag.position, dtype=float) for tag in tags]
+    tag_points = [(float(x), float(y)) for x, y in tag_positions]
+    reader_point = (
+        float(world.reader_position_m[0]),
+        float(world.reader_position_m[1]),
+    )
     grid = build_grid(
         spec.grid,
         positions=np.concatenate(
@@ -164,7 +156,8 @@ def generate_fleet_workload(
         ),
         resolution_m=grid_resolution,
     )
-    policy = build_policy(spec.fleet, seed)
+    policy = build_policy(resolve_fleet(spec), seed)
+    names = plan.names()
     frequencies = plan.frequencies_hz()
     gains = plan.gains_db()
     # Merge pose timelines; the sort is stable, so a single relay's
@@ -194,42 +187,44 @@ def generate_fleet_workload(
                 else plan.relays[other].position_at_time(time_s)
                 for other in range(plan.n_relays)
             ]
-            assigned: Dict[int, Optional[int]] = {}
-            for tag in tags:
-                tag_position = np.asarray(tag.position, dtype=float)
-                candidates = []
+            served: Dict[int, bool] = {}
+            for epc, session_id, tag_position in zip(
+                epcs, session_ids, tag_positions
+            ):
+                powering_relays: List[Tuple[int, float]] = []
                 for other in range(plan.n_relays):
                     distance = float(
                         np.linalg.norm(
                             tag_position - relay_positions[other]
                         )
                     )
-                    if distance > powering:
-                        continue
-                    candidates.append(
-                        RelayCandidate(
-                            index=other,
-                            name=plan.relays[other].name,
-                            distance_m=distance,
-                            link_budget_db=_link_budget_db(
-                                plan.relays[other],
-                                np.asarray(
-                                    relay_positions[other], dtype=float
-                                ),
-                                tag_position,
-                                world.reader_position_m,
-                            ),
-                        )
+                    if distance <= powering:
+                        powering_relays.append((other, distance))
+                if len(powering_relays) < 2:
+                    # No choice to make: the policy is not consulted,
+                    # so exploration draws happen only on real choices.
+                    served[epc] = (
+                        bool(powering_relays)
+                        and powering_relays[0][0] == relay_index
                     )
-                assigned[tag.epc_int] = (
-                    policy.select(session_ids[tag.epc_int], candidates)
-                    if candidates
-                    else None
+                    continue
+                candidates = [
+                    RelayCandidate(
+                        index=other,
+                        name=names[other],
+                        distance_m=distance,
+                        link_budget_db=_link_budget_db(
+                            plan.relays[other],
+                            np.asarray(relay_positions[other], dtype=float),
+                            tag_position,
+                            world.reader_position_m,
+                        ),
+                    )
+                    for other, distance in powering_relays
+                ]
+                served[epc] = (
+                    policy.select(session_id, candidates) == relay_index
                 )
-            served = {
-                epc: (choice == relay_index)
-                for epc, choice in assigned.items()
-            }
             if mac:
                 # Looked up on the module at call time, so a wrapper
                 # installed on repro.sim.events sees every inventory.
@@ -238,25 +233,24 @@ def generate_fleet_workload(
                 )
             else:
                 read_epcs = {epc for epc, on in served.items() if on}
-            for tag in tags:
-                if served[tag.epc_int]:
+            for tag, epc, session_id, tag_point in zip(
+                tags, epcs, session_ids, tag_points
+            ):
+                if served[epc]:
                     policy.observe(
-                        session_ids[tag.epc_int],
+                        session_id,
                         relay_index,
-                        1.0 if tag.epc_int in read_epcs else 0.0,
+                        1.0 if epc in read_epcs else 0.0,
                     )
-                if tag.epc_int not in read_epcs:
+                if epc not in read_epcs:
                     continue
                 penalty_db = co_channel_penalty_db(
                     relay_index,
                     relay_positions,
                     frequencies,
                     gains,
-                    (float(tag.position[0]), float(tag.position[1])),
-                    (
-                        float(world.reader_position_m[0]),
-                        float(world.reader_position_m[1]),
-                    ),
+                    tag_point,
+                    reader_point,
                     plan.guard_hz,
                 )
                 measurement = models[relay_index].measure(
@@ -269,9 +263,9 @@ def generate_fleet_workload(
                 stream.append(
                     UpdateEvent(
                         time_s=sample.time / resolved_load,
-                        session_id=session_ids[tag.epc_int],
+                        session_id=session_id,
                         measurement=dataclasses.replace(
-                            measurement, relay=plan.relays[relay_index].name
+                            measurement, relay=names[relay_index]
                         ),
                     )
                 )
@@ -281,10 +275,7 @@ def generate_fleet_workload(
     ) / resolved_load
     return TrafficWorkload(
         events=tuple(stream),
-        grids={sid: grid for sid in session_ids.values()},
-        tag_positions={
-            session_ids[tag.epc_int]: np.asarray(tag.position, dtype=float)
-            for tag in tags
-        },
+        grids={session_id: grid for session_id in session_ids},
+        tag_positions=dict(zip(session_ids, tag_positions)),
         duration_s=duration_s,
     )

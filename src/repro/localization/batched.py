@@ -178,9 +178,9 @@ def _fold_group(
                     [[0], np.cumsum(counts[:-1])]
                 ).astype(np.intp)
                 partials = np.add.reduceat(phase_v, starts, axis=0)
-            # Inlined IncrementalSar.fold_partial: at fleet scale this
-            # loop runs once per co-resident session per round, so the
-            # accumulate is a plain indexed add with no method dispatch.
+            # At fleet scale this loop runs once per co-resident
+            # session per round, so the accumulate is a plain indexed
+            # add with no method dispatch.
             for offset in range(block_hi - block_lo):
                 target = group[block_lo + offset][0].target
                 target._accumulator[node_slice] += partials[offset]

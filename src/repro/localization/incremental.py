@@ -12,13 +12,16 @@ trajectory (O(poses x grid)) on every update. The heatmap at any moment
 is ``|S| / K``, exactly what :meth:`repro.localization.sar.SarGeometry.
 profile` computes for the poses seen so far.
 
-:meth:`IncrementalSar.finalize` then replays the coarse-to-fine search
-of :func:`repro.localization.multires.multires_locate` on the full
-retained history, so a streamed session ends with the *same* estimate
-the offline batch :class:`~repro.localization.pipeline.Localizer` would
-produce (the equivalence suite asserts agreement to 1e-9 on the golden
-scenes; the accumulation itself is order-insensitive up to float
-round-off).
+A session ends in :func:`finalize_segments`, which hands the coarse
+map and the retained history to the fine stage the offline batch
+:class:`~repro.localization.pipeline.Localizer` runs
+(:func:`repro.localization.multires.refine`), so a streamed session
+ends with the *same* estimate (the equivalence suite asserts agreement
+to 1e-9 on the golden scenes; the accumulation itself is
+order-insensitive up to float round-off). A session that several fleet
+relays served keeps one accumulator per relay, and
+:func:`finalize_segments` combines them noncoherently; a single-relay
+session is the one-segment case of the same code.
 """
 
 from __future__ import annotations
@@ -32,14 +35,9 @@ from repro.errors import InsufficientMeasurementsError, LocalizationError
 from repro.localization.grid import Grid2D, Heatmap
 from repro.localization.measurement import ThroughRelayMeasurement
 from repro.localization.disentangle import disentangle
-from repro.localization.peaks import find_peaks, select_nearest_to_trajectory
+from repro.localization.multires import refine
 from repro.localization.pipeline import LocalizationResult
-from repro.localization.sar import (
-    DEFAULT_CHUNK_NODES,
-    SarGeometry,
-    _validate,
-    sar_heatmap,
-)
+from repro.localization.sar import DEFAULT_CHUNK_NODES, SarGeometry, _validate
 from repro.obs import metrics
 
 
@@ -196,16 +194,6 @@ class IncrementalSar:
         """
         return self._signature
 
-    def fold_partial(self, node_slice: slice, partial: np.ndarray) -> None:
-        """Add an externally computed per-node partial sum.
-
-        The batched kernel hands each accumulator the coherent sum of
-        its own pose segment, one node chunk at a time; history and
-        pose-count bookkeeping happen separately in
-        :meth:`record_block` once every chunk has landed.
-        """
-        self._accumulator[node_slice] += partial
-
     def record_block(
         self, positions: np.ndarray, channels: np.ndarray
     ) -> int:
@@ -289,36 +277,11 @@ class IncrementalSar:
     def finalize(self) -> LocalizationResult:
         """The batch-equivalent coarse-to-fine estimate over the history.
 
-        Validates the accumulated aperture exactly as the batch solver
-        does, selects the peak with the same §5.2 rule, and runs the
-        identical fine stage (``sar_heatmap`` over a refined grid), so
-        the returned position matches
-        ``Localizer.locate(history, search_grid=grid)`` run offline.
+        The one-segment case of :func:`finalize_segments`: the returned
+        position matches ``Localizer.locate(history, search_grid=grid)``
+        run offline.
         """
-        positions, channels = self.history()
-        _validate(positions, channels, self.frequency_hz)
-        coarse = self.coarse_heatmap()
-        peaks = find_peaks(
-            coarse, relative_threshold=self.relative_threshold
-        )
-        if self.use_nearest_peak_rule:
-            chosen = select_nearest_to_trajectory(peaks, positions)
-        else:
-            chosen = peaks[0]
-        fine_grid = self.grid.refined_around(
-            chosen.position,
-            span=self.fine_span,
-            resolution=self.fine_resolution,
-        )
-        fine = sar_heatmap(
-            positions, channels, fine_grid, self.frequency_hz
-        )
-        return LocalizationResult(
-            position=fine.argmax_position(),
-            coarse_heatmap=coarse,
-            fine_heatmap=fine,
-            peak_distance_to_trajectory_m=chosen.distance_to_trajectory_m,
-        )
+        return finalize_segments([self])
 
     # -- checkpoint / restore ----------------------------------------------------
 
@@ -420,50 +383,34 @@ def finalize_segments(
 ) -> LocalizationResult:
     """Batch-equivalent coarse-to-fine estimate over relay segments.
 
-    Single-segment inputs take :meth:`IncrementalSar.finalize`'s exact
-    path (byte-identical results for sessions that never handed off).
-    Multi-segment inputs combine noncoherently: the coarse peak comes
-    from :func:`combined_coarse`, the aperture/peak rules see the
-    concatenated pose history, and the fine stage sums per-segment
-    ``sar_heatmap`` magnitudes over one shared refined grid.
+    The aperture check sees the concatenated pose history, the coarse
+    peak comes from :func:`combined_coarse`, and
+    :func:`~repro.localization.multires.refine` weights each segment's
+    fine map by its share of the poses. One segment reduces exactly to
+    the single-accumulator finalize.
     """
     populated = _check_segments(segments)
-    if len(populated) == 1:
-        return populated[0].finalize()
     first = populated[0]
-    all_positions = np.concatenate(
-        [s.history()[0] for s in populated], axis=0
+    histories = [segment.history() for segment in populated]
+    _validate(
+        np.concatenate([positions for positions, _ in histories]),
+        np.concatenate([channels for _, channels in histories]),
+        first.frequency_hz,
     )
-    all_channels = np.concatenate([s.history()[1] for s in populated])
-    _validate(all_positions, all_channels, first.frequency_hz)
-    coarse = combined_coarse(populated)
-    peaks = find_peaks(
-        coarse, relative_threshold=first.relative_threshold
+    result = refine(
+        combined_coarse(populated),
+        histories,
+        first.frequency_hz,
+        fine_resolution=first.fine_resolution,
+        fine_span=first.fine_span,
+        relative_threshold=first.relative_threshold,
+        use_nearest_peak_rule=first.use_nearest_peak_rule,
     )
-    if first.use_nearest_peak_rule:
-        chosen = select_nearest_to_trajectory(peaks, all_positions)
-    else:
-        chosen = peaks[0]
-    fine_grid = first.grid.refined_around(
-        chosen.position,
-        span=first.fine_span,
-        resolution=first.fine_resolution,
-    )
-    total = sum(s.n_poses for s in populated)
-    fine_values = np.zeros(fine_grid.shape)
-    for segment in populated:
-        positions, channels = segment.history()
-        segment_fine = sar_heatmap(
-            positions, channels, fine_grid, segment.frequency_hz
-        )
-        # ``sar_heatmap`` normalizes by the segment's own pose count;
-        # scale back to |S_r| so segments weight by evidence, then
-        # renormalize by the total.
-        fine_values += segment_fine.values * segment.n_poses
-    fine = Heatmap(grid=fine_grid, values=fine_values / total)
     return LocalizationResult(
-        position=fine.argmax_position(),
-        coarse_heatmap=coarse,
-        fine_heatmap=fine,
-        peak_distance_to_trajectory_m=chosen.distance_to_trajectory_m,
+        position=result.position,
+        coarse_heatmap=result.coarse_heatmap,
+        fine_heatmap=result.fine_heatmap,
+        peak_distance_to_trajectory_m=(
+            result.selected_peak.distance_to_trajectory_m
+        ),
     )

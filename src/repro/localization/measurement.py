@@ -20,7 +20,7 @@ a division isolates ``B_rt`` (Eq. 10) — see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -40,8 +40,10 @@ class ThroughRelayMeasurement:
     for the environment tag and the relay-embedded reference RFID;
     ``position`` is the drone pose the SAR solver will use (in practice
     the OptiTrack observation of it). ``relay`` names which fleet relay
-    carried the observation (``""`` on the single-relay paths, where
-    there is nothing to distinguish).
+    carried the observation: traffic workloads always name one
+    (``relay-00`` for a scenario without a fleet block), while
+    measurements taken straight from a :class:`MeasurementModel`, as
+    the batch trials do, leave it ``""``.
     """
 
     position: np.ndarray

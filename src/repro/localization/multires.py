@@ -5,12 +5,17 @@ A full fine-resolution sweep of a 30 x 40 m floor is wasteful: the
 coarse stage finds the candidate region(s) at decimeter resolution, the
 peak rule of §5.2 picks the candidate, and a centimeter-resolution stage
 refines only around it.
+
+:func:`refine` is that second half on its own: given any coarse map, it
+picks the peak and builds the fine map. The batch search below and the
+streaming finalize of :mod:`repro.localization.incremental` both end
+there, so the two cannot pick peaks or refine differently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,17 +82,55 @@ def multires_locate(
         coarse = sar_heatmap(
             positions, channels, search_grid, frequency_hz, geometry=coarse_geometry
         )
+    return refine(
+        coarse,
+        [(positions, channels)],
+        frequency_hz,
+        fine_resolution=fine_resolution,
+        fine_span=fine_span,
+        relative_threshold=relative_threshold,
+        use_nearest_peak_rule=use_nearest_peak_rule,
+    )
+
+
+def refine(
+    coarse: Heatmap,
+    segments: Sequence[Tuple[np.ndarray, np.ndarray]],
+    frequency_hz: float,
+    fine_resolution: float,
+    fine_span: float,
+    relative_threshold: float,
+    use_nearest_peak_rule: bool,
+) -> MultiresResult:
+    """Select the §5.2 peak on ``coarse`` and refine the map around it.
+
+    ``segments`` holds one ``(positions, channels)`` series per coherent
+    segment: a single flight is one segment, and a tag that several
+    fleet relays served has one per relay. The peak rule measures
+    distance to all of their poses. The fine map combines the segments
+    noncoherently, each weighted by its share of the ``K`` poses:
+
+        P_fine(x, y) = sum_r P_r(x, y) * K_r / K
+
+    For one segment the weight is exactly 1.0, so the fine map is that
+    segment's :func:`~repro.localization.sar.sar_heatmap` bit for bit.
+    """
+    trajectory = np.concatenate([positions for positions, _ in segments])
     with tracing.span("localize.peaks"):
         peaks = find_peaks(coarse, relative_threshold=relative_threshold)
         if use_nearest_peak_rule:
-            chosen = select_nearest_to_trajectory(peaks, positions)
+            chosen = select_nearest_to_trajectory(peaks, trajectory)
         else:
             chosen = peaks[0]  # strongest
     with tracing.span("localize.fine"):
-        fine_grid = search_grid.refined_around(
+        fine_grid = coarse.grid.refined_around(
             chosen.position, span=fine_span, resolution=fine_resolution
         )
-        fine = sar_heatmap(positions, channels, fine_grid, frequency_hz)
+        values = np.zeros(fine_grid.shape)
+        for positions, channels in segments:
+            segment_map = sar_heatmap(positions, channels, fine_grid, frequency_hz)
+            values += segment_map.values * (len(positions) / len(trajectory))
+        fine = Heatmap(grid=fine_grid, values=values)
         estimate = fine.argmax_position()
     return MultiresResult(
         position=estimate,

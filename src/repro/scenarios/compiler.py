@@ -33,12 +33,10 @@ from repro.channel.environment import (
     Material,
 )
 from repro.errors import ConfigurationError
-from repro.hardware.tag import PassiveTag
 from repro.localization.grid import Grid2D
 from repro.localization.measurement import MeasurementModel
 from repro.mobility.groundtruth import OptiTrack
-from repro.mobility.trajectory import LineTrajectory, TrajectorySample
-from repro.obs import tracing
+from repro.mobility.trajectory import LineTrajectory
 from repro.runtime import SweepTask
 from repro.scenarios import registry
 from repro.scenarios.spec import (
@@ -49,8 +47,7 @@ from repro.scenarios.spec import (
     TrajectorySpec,
 )
 from repro.serve.config import ServeConfig
-from repro.serve.traffic import TrafficWorkload, UpdateEvent, run_workload
-from repro.sim import events
+from repro.serve.traffic import TrafficWorkload, run_workload
 
 #: Spec material names -> channel material singletons.
 MATERIALS: Mapping[str, Material] = {
@@ -399,115 +396,22 @@ def generate_workload(
     realization, channel noise, MAC slot draws — comes from ``seed``,
     so the event stream is a pure function of the arguments.
     """
-    spec = registry.resolve(scenario)
-    if spec.fleet is not None:
-        # Fleet scenarios lower through the multi-relay generator; a
-        # one-relay fleet reproduces this function's stream bit for bit.
-        # Imported here: repro.fleet.plan imports this module.
-        from repro.fleet.workload import generate_fleet_workload
+    # Every scenario lowers through the fleet generator; one without a
+    # fleet block flies the implicit fleet of one. Imported here:
+    # repro.fleet.plan imports this module.
+    from repro.fleet.workload import generate_fleet_workload
 
-        return generate_fleet_workload(
-            spec,
-            n_tags=n_tags,
-            seed=seed,
-            load=load,
-            pose_spacing_m=pose_spacing_m,
-            snr_db=snr_db,
-            grid_resolution=grid_resolution,
-            use_gen2_mac=use_gen2_mac,
-            powering_range_m=powering_range_m,
-            tracker=tracker,
-        )
-    resolved_load = spec.traffic.load if load is None else float(load)
-    if resolved_load <= 0:
-        raise ConfigurationError("load factor must be positive")
-    spacing = (
-        spec.trajectory.spacing_m
-        if pose_spacing_m is None
-        else float(pose_spacing_m)
-    )
-    mac = spec.traffic.use_gen2_mac if use_gen2_mac is None else use_gen2_mac
-    powering = (
-        spec.traffic.powering_range_m
-        if powering_range_m is None
-        else float(powering_range_m)
-    )
-
-    rng = np.random.default_rng(seed)
-    world = realize_world(spec, rng, n_tags=n_tags)
-    model = build_measurement_model(
-        spec, world.environment, world.reader_position_m
-    )
-    samples: Sequence[TrajectorySample] = world.trajectory.sample_every(
-        spacing
-    )
-    if tracker is not None:
-        samples = tracker.observe_trajectory(samples)
-    snr = resolve_snr_db(spec, world) if snr_db is None else float(snr_db)
-    tags = [
-        PassiveTag(
-            epc=index + 1,
-            position=(float(position[0]), float(position[1])),
-            rng=rng,
-        )
-        for index, position in enumerate(world.tag_positions_m)
-    ]
-    session_ids = {tag.epc_int: f"tag-{tag.epc_int:04d}" for tag in tags}
-    grid = build_grid(
-        spec.grid,
-        positions=np.stack([s.position for s in samples]),
-        resolution_m=grid_resolution,
-    )
-    stream: List[UpdateEvent] = []
-    with tracing.span(
-        "serve.traffic", n_tags=len(tags), poses=len(samples)
-    ):
-        for sample in samples:
-            powered = {
-                tag.epc_int: (
-                    float(
-                        np.linalg.norm(
-                            np.asarray(tag.position) - sample.position
-                        )
-                    )
-                    <= powering
-                )
-                for tag in tags
-            }
-            if mac:
-                # Looked up on the module at call time, so a wrapper
-                # installed on repro.sim.events sees every inventory.
-                read_epcs = events.inventory_at_pose(
-                    tags, lambda t: powered[t.epc_int], rng
-                )
-            else:
-                read_epcs = {epc for epc, on in powered.items() if on}
-            for tag in tags:
-                if tag.epc_int not in read_epcs:
-                    continue
-                measurement = model.measure(
-                    sample.position,
-                    tag.position,
-                    rng=rng,
-                    snr_db=snr,
-                    time=sample.time,
-                )
-                stream.append(
-                    UpdateEvent(
-                        time_s=sample.time / resolved_load,
-                        session_id=session_ids[tag.epc_int],
-                        measurement=measurement,
-                    )
-                )
-    stream.sort(key=lambda e: (e.time_s, e.session_id))
-    return TrafficWorkload(
-        events=tuple(stream),
-        grids={sid: grid for sid in session_ids.values()},
-        tag_positions={
-            session_ids[tag.epc_int]: np.asarray(tag.position, dtype=float)
-            for tag in tags
-        },
-        duration_s=samples[-1].time / resolved_load,
+    return generate_fleet_workload(
+        scenario,
+        n_tags=n_tags,
+        seed=seed,
+        load=load,
+        pose_spacing_m=pose_spacing_m,
+        snr_db=snr_db,
+        grid_resolution=grid_resolution,
+        use_gen2_mac=use_gen2_mac,
+        powering_range_m=powering_range_m,
+        tracker=tracker,
     )
 
 

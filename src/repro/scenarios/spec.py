@@ -632,8 +632,9 @@ class RelaySpec:
     """One relay drone in a fleet.
 
     Everything is optional and inherits from the scenario: a ``None``
-    ``trajectory`` flies the scenario's :class:`TrajectorySpec` (the
-    pre-fleet single-relay path), a ``None`` ``shift_hz`` /
+    ``trajectory`` flies the scenario's :class:`TrajectorySpec` (as the
+    implicit relay of a scenario without a fleet does), a ``None``
+    ``shift_hz`` /
     ``gain_db`` takes ``radio.relay_shift_hz`` / ``radio.relay_gain_db``.
     ``name`` defaults to ``relay-{index:02d}`` when empty; resolved
     names must be unique — they key per-relay session segments and

@@ -45,8 +45,8 @@ class PendingUpdate:
     channel: complex
     arrival_s: float
     seq: int
-    #: Serving relay's name (``""`` on single-relay paths); a change
-    #: between consecutive staged updates is a session handoff.
+    #: Serving relay's name (``""`` when the read names none); a
+    #: change between consecutive staged updates is a session handoff.
     relay: str = ""
 
 

@@ -19,13 +19,13 @@ engine uses for task payloads.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ServeError, SessionNotFoundError
-from repro.localization.batched import PoseBlock
+from repro.localization.batched import PoseBlock, fold_blocks
 from repro.localization.grid import Grid2D
 from repro.localization.incremental import (
     IncrementalSar,
@@ -98,9 +98,8 @@ class TagSession:
         #: count so the log is invariant to how sessions are sharded.
         self.ladder: List[Tuple[int, str]] = []
         #: Which fleet relay the *active* accumulators belong to. None
-        #: until the first staged update; the single-relay paths tag
-        #: updates with ``relay=""``, which is a legal (constant) name,
-        #: so legacy sessions stay on one segment forever.
+        #: until the first staged update; a session that one relay
+        #: serves throughout stays on one segment forever.
         self.active_relay: Optional[str] = None
         #: Relay named by the most recently *ingested* update (the
         #: ``relay.handoff`` fault site triggers on changes here).
@@ -242,9 +241,8 @@ class TagSession:
         A batch mixing updates from several relays is split into
         contiguous same-relay runs (FIFO order preserved); each relay
         change between runs is a session handoff that swaps the active
-        segment. Single-relay traffic carries a constant relay name
-        (``""`` from the legacy paths), so it always forms one run and
-        takes the exact pre-fleet staging path.
+        segment. Traffic from one relay carries a constant relay name,
+        so it always forms one run.
         """
         if not updates:
             return []
@@ -349,7 +347,7 @@ class TagSession:
         sees every pose — answers instead. With archived segments the
         degraded accumulators of *all* segments (each complete for its
         relay's poses) combine noncoherently; without any archive this
-        is byte-for-byte the single-relay readout.
+        is the active segment's own readout.
         """
         if not self._archive:
             if self._lag_poses == 0 and self.full.n_poses > 0:
@@ -363,19 +361,21 @@ class TagSession:
     def finalize(self) -> LocalizationResult:
         """Catch up in full and run the batch-equivalent fine stage.
 
-        Archived segments drain their own lag lists first (each into
-        its own full accumulator — the fold is linear per segment, so
-        deferral costs nothing), then all full segments combine through
-        the noncoherent fine stage. One segment means the exact
-        single-relay finalize path.
+        The deferred poses of the active and every archived segment
+        fold into their own full accumulators in one stacked
+        :func:`~repro.localization.batched.fold_blocks` call (the fold
+        is linear per segment, so deferral costs nothing); then all
+        full segments combine through the noncoherent fine stage, of
+        which a single-relay session is the one-segment case.
         """
-        self.catch_up(None)
+        blocks = self.stage_catchup(None)
         for entry in self._archive.values():
             for positions, channels in entry["lag"]:
-                entry["full"].update(positions, channels)
+                blocks.append(PoseBlock(entry["full"], positions, channels))
                 self.stats.caught_up += len(positions)
             entry["lag"] = []
             entry["lag_poses"] = 0
+        fold_blocks(blocks)
         segments = [self.full] + [
             entry["full"] for entry in self._archive.values()
         ]

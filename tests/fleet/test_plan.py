@@ -67,8 +67,28 @@ class TestRealizeFleet:
         world = realize_world(spec, rng)
         plan = realize_fleet(spec, world, 0)
         # The identical object, not a re-realization: that identity is
-        # what makes the N=1 pose stream bit-equal to the pre-fleet path.
+        # what makes the N=1 pose stream the world's own flight.
         assert plan.relays[0].trajectory is world.trajectory
+
+    def test_only_declared_fleets_are_band_checked(self):
+        # A 30 MHz relay shift lands outside the declared band.
+        plain = Scenario.from_dict(
+            {
+                **base_scenario().to_dict(),
+                "radio": {
+                    **base_scenario().radio.to_dict(),
+                    "relay_shift_hz": 30e6,
+                },
+            }
+        )
+        world = realize_world(plain, np.random.default_rng(0))
+        plan = realize_fleet(plain, world, 0)
+        assert plan.names() == ("relay-00",)
+        assert plan.relays[0].trajectory is world.trajectory
+        assert plan.relays[0].shift_hz == 30e6
+        declared = scale_fleet(plain, 1)
+        with pytest.raises(ConfigurationError, match="scenario band"):
+            realize_fleet(declared, world, 0)
 
     def test_segments_cover_the_aisle_with_overlap(self):
         spec = base_scenario()

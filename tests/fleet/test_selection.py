@@ -1,5 +1,5 @@
 """Relay-selection policies: determinism, picklability, and the
-single-candidate no-draw invariant the N=1 bit-identity rests on."""
+generator rule that only a real choice consults a policy."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ import pickle
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.fleet import workload as fleet_workload
+from repro.fleet.plan import scale_fleet
 from repro.fleet.selection import (
     BestLinkBudgetPolicy,
     EpsilonGreedyPolicy,
@@ -15,7 +17,9 @@ from repro.fleet.selection import (
     RelayCandidate,
     build_policy,
 )
-from repro.scenarios.spec import FleetSpec, RelaySpec
+from repro.scenarios import registry
+from repro.scenarios.compiler import generate_workload
+from repro.scenarios.spec import FleetSpec, RelaySpec, Scenario
 
 
 def candidate(index, distance, budget):
@@ -67,20 +71,6 @@ class TestEpsilonGreedy:
         # Fully exploratory: both relays actually get explored.
         assert set(picks) == {0, 1}
 
-    def test_single_candidate_consumes_no_randomness(self):
-        # Interleaving lone-candidate selects must not perturb the
-        # exploration stream — this is the N=1 bit-identity invariant.
-        clean = EpsilonGreedyPolicy(1.0, 0.5, seed=5)
-        interleaved = EpsilonGreedyPolicy(1.0, 0.5, seed=5)
-        for _ in range(7):
-            assert interleaved.select("t", [FAR]) == 1
-        clean_picks = [clean.select("t", [NEAR, FAR]) for _ in range(20)]
-        mixed_picks = []
-        for _ in range(20):
-            mixed_picks.append(interleaved.select("t", [NEAR, FAR]))
-            interleaved.select("t", [NEAR])  # more lone candidates
-        assert mixed_picks == clean_picks
-
     def test_exploit_before_feedback_matches_link_budget(self):
         policy = EpsilonGreedyPolicy(0.0, 0.5, seed=0)
         assert policy.select("t", [NEAR, FAR]) == (
@@ -101,6 +91,73 @@ class TestEpsilonGreedy:
             EpsilonGreedyPolicy(1.5, 0.5, seed=0)
         with pytest.raises(ConfigurationError):
             EpsilonGreedyPolicy(0.1, 0.0, seed=0)
+
+
+class RecordingPolicy:
+    """Wraps a real policy and records how many candidates each
+    ``select`` call saw."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.sizes = []
+
+    def select(self, tag_id, candidates):
+        self.sizes.append(len(candidates))
+        return self.inner.select(tag_id, candidates)
+
+    def observe(self, tag_id, relay_index, reward):
+        self.inner.observe(tag_id, relay_index, reward)
+
+
+class TestGeneratorConsultsPolicy:
+    """The generator serves a lone candidate itself: a policy sees only
+    real choices, so an epsilon-greedy fleet draws exploration only
+    when two or more relays power a tag."""
+
+    def _recorded(self, monkeypatch, spec):
+        policies = []
+
+        def recording_policy(fleet, seed):
+            policies.append(RecordingPolicy(build_policy(fleet, seed)))
+            return policies[-1]
+
+        monkeypatch.setattr(fleet_workload, "build_policy", recording_policy)
+        # A 1.5 m powering range leaves tags that only one of two
+        # overlapping relays reaches, next to tags both reach.
+        generate_workload(
+            spec, n_tags=3, seed=0, load=8.0, powering_range_m=1.5
+        )
+        (policy,) = policies
+        return policy.sizes
+
+    @staticmethod
+    def _greedy(n_relays):
+        spec = scale_fleet(registry.get("conveyor_flow_through"), n_relays)
+        return Scenario.from_dict(
+            {
+                **spec.to_dict(),
+                "fleet": {
+                    **spec.fleet.to_dict(),
+                    "selection": "epsilon_greedy",
+                },
+            }
+        )
+
+    def test_select_sees_at_least_two_candidates(self, monkeypatch):
+        sizes = self._recorded(monkeypatch, self._greedy(2))
+        assert sizes, "the overlapping segments must force real choices"
+        assert min(sizes) >= 2
+
+    @pytest.mark.parametrize(
+        "declared", [False, True], ids=["plain", "declared"]
+    )
+    def test_fleet_of_one_never_selects(self, monkeypatch, declared):
+        spec = (
+            self._greedy(1)
+            if declared
+            else registry.get("conveyor_flow_through")
+        )
+        assert self._recorded(monkeypatch, spec) == []
 
 
 class TestBuildPolicy:

@@ -12,6 +12,7 @@ from repro.localization import (
     multires_locate,
     rssi_distances,
     rssi_locate,
+    sar_heatmap,
     select_nearest_to_trajectory,
 )
 from repro.localization.peaks import Peak, distance_to_polyline
@@ -106,6 +107,19 @@ class TestMultires:
             line_array, channels, grid, F, use_nearest_peak_rule=False
         )
         assert np.linalg.norm(result.position - tag) < 0.05
+
+    def test_one_segment_fine_map_is_the_segment_map(self, line_array):
+        # refine() weights a lone segment by K/K = 1.0: its fine map is
+        # that segment's sar_heatmap bit for bit.
+        channels = synth_channels(line_array, np.array([1.3, 1.8]))
+        grid = Grid2D(-0.5, 3.5, 0.3, 3.5, 0.25)
+        result = multires_locate(line_array, channels, grid, F)
+        direct = sar_heatmap(
+            line_array, channels, result.fine_heatmap.grid, F
+        )
+        np.testing.assert_array_equal(
+            result.fine_heatmap.values, direct.values
+        )
 
     def test_invalid_fine_parameters(self, line_array):
         channels = synth_channels(line_array, np.array([1.0, 1.0]))
