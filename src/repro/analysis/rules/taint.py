@@ -28,7 +28,7 @@ lines, still wall-clock), OS entropy (``os.urandom``, ``secrets``,
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.analysis.dataflow import (
     FlowWalker,

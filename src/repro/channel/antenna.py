@@ -9,9 +9,6 @@ to omnidirectional in the horizontal plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
 import numpy as np
 
 from repro.errors import ConfigurationError

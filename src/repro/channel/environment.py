@@ -9,10 +9,8 @@ reflective steel shelving (the Fig. 6(b) scenario).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from repro import faults
 from repro.channel.geometry import Wall, as_point, segments_cross

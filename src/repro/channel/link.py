@@ -8,14 +8,13 @@ scale fading realizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.channel.antenna import IsotropicAntenna
 from repro.channel.environment import Environment
-from repro.channel.multipath import one_way_channel
 from repro.constants import BOLTZMANN_DBM_PER_HZ
 from repro.dsp.units import db_to_linear, linear_to_db
 from repro.errors import LinkBudgetError

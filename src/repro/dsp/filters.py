@@ -15,8 +15,6 @@ factors out during localization (paper §5.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import signal as sps
 

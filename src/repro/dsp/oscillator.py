@@ -14,7 +14,7 @@ exactly, up to the per-call white phase jitter which models phase noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -9,7 +9,7 @@ self-interference paths of the relay) without aliasing bugs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro import faults
-from repro.errors import ConfigurationError, RFlyError
+from repro.errors import ConfigurationError
 from repro.experiments.runner import ExperimentOutput, fmt
 from repro.mobility.groundtruth import OptiTrack
 from repro.runtime import SweepTask
@@ -39,7 +39,7 @@ from repro.scenarios.spec import Scenario
 from repro.serve.config import ServeConfig
 from repro.serve.service import LocalizationService
 from repro.serve.shard import ShardConfig, run_sharded_workload
-from repro.serve.traffic import TrafficWorkload
+from repro.serve.traffic import replay
 
 #: The swept fault classes, each mapping to one canned plan.
 FAULT_CLASSES: Tuple[str, ...] = (
@@ -125,58 +125,6 @@ class ResilienceResult:
     rows: List[Dict[str, Any]]
 
 
-def _replay_tolerant(
-    workload: TrafficWorkload,
-    config: ServeConfig,
-    cache: ResultCache,
-) -> Tuple[Dict[str, str], Dict[str, float], Dict[str, bool], Any]:
-    """Replay a workload, containing typed failures per session.
-
-    Returns ``(failures, errors_m, flagged, service_report)``:
-    ``failures`` maps a session id to the *typed* error class that took
-    it down, ``errors_m`` holds localization errors of the sessions
-    that made it to finalize, and ``flagged`` marks which of those the
-    service loudly declared degraded (nonzero
-    :meth:`~repro.serve.service.LocalizationService.session_data_loss`)
-    — only an *unflagged* bad fix counts as silently wrong.
-    """
-    service = LocalizationService(config, cache=cache)
-    for session_id, grid in workload.grids.items():
-        service.open_session(session_id, grid, now_s=0.0)
-    failures: Dict[str, str] = {}
-    for event in workload.events:
-        if event.session_id in failures:
-            continue
-        try:
-            service.submit(
-                event.session_id, event.measurement, now_s=event.time_s
-            )
-            service.step()
-        except RFlyError as error:
-            failures[event.session_id] = type(error).__name__
-    try:
-        service.drain()
-    except RFlyError:
-        pass
-    errors_m: Dict[str, float] = {}
-    flagged: Dict[str, bool] = {}
-    for session_id in sorted(workload.grids):
-        if session_id in failures:
-            continue
-        try:
-            result = service.finalize(session_id)
-        except RFlyError as error:
-            failures[session_id] = type(error).__name__
-            continue
-        errors_m[session_id] = float(
-            np.linalg.norm(
-                result.position - workload.tag_positions[session_id]
-            )
-        )
-        flagged[session_id] = service.session_data_loss(session_id) > 0
-    return failures, errors_m, flagged, service.report()
-
-
 def _resilience_point(
     scenario_json: str,
     fault_class: str,
@@ -207,7 +155,7 @@ def _resilience_point(
                 # Worker reboots only exist on the sharded service:
                 # replay through the consistent-hash fleet (which
                 # engages per-shard engines spawned from this seed).
-                sharded = run_sharded_workload(
+                report = run_sharded_workload(
                     workload,
                     ServeConfig(
                         frequency_hz=frequency_hz,
@@ -219,50 +167,41 @@ def _resilience_point(
                     cache=cache,
                     fault_plan=plan,
                 )
-                errors_m = dict(sharded.errors_m)
-                # A session the sharded replay could not finalize (no
-                # checkpoint survived, too little data) is an explicit
-                # failure, mirroring the tolerant replay's accounting.
-                failures = {
-                    session_id: "NoFix"
-                    for session_id in sorted(workload.grids)
-                    if session_id not in errors_m
-                }
-                flagged = {
-                    session_id: sharded.session_loss.get(session_id, 0) > 0
-                    for session_id in errors_m
-                }
-                report = sharded.service
+                injected = report.injected
             else:
-                config = ServeConfig(
-                    frequency_hz=frequency_hz,
-                    latency_slo_s=latency_slo_s,
-                    reference_timeout_s=_REFERENCE_TIMEOUT_S,
+                service = LocalizationService(
+                    ServeConfig(
+                        frequency_hz=frequency_hz,
+                        latency_slo_s=latency_slo_s,
+                        reference_timeout_s=_REFERENCE_TIMEOUT_S,
+                    ),
+                    cache=cache,
                 )
-                failures, errors_m, flagged, report = _replay_tolerant(
-                    workload, config, cache
-                )
-        injected = len(engine.injections)
-        if fault_class == "shard_kill":
-            injected += sharded.injected
+                report = replay(service, workload, contain=True)
+                injected = 0
+        injected += len(engine.injections)
+    errors_m = report.errors_m
+    # A fix from a stream with known data loss was loudly declared
+    # degraded: only an *unflagged* bad fix counts as silently wrong.
+    flagged = {sid for sid in errors_m if sid in report.session_loss}
     errors = np.asarray(sorted(errors_m.values()), dtype=float)
     wrong = sum(
         1
         for session_id, error_m in errors_m.items()
-        if error_m > wrong_threshold_m and not flagged[session_id]
+        if error_m > wrong_threshold_m and session_id not in flagged
     )
     return {
         "fault_class": fault_class,
         "rate": float(rate),
         "events": len(workload.events),
         "injected": injected,
-        "rejected": report.updates_rejected,
+        "rejected": report.service.updates_rejected,
         "sessions": len(workload.grids),
-        "failed": len(failures),
-        "flagged": sum(1 for is_flagged in flagged.values() if is_flagged),
-        "failure_kinds": ",".join(sorted(set(failures.values()))),
-        "recoveries": report.recoveries,
-        "recovery_latency_s": report.mean_recovery_latency_s,
+        "failed": len(report.failures),
+        "flagged": len(flagged),
+        "failure_kinds": ",".join(sorted(set(report.failures.values()))),
+        "recoveries": report.service.recoveries,
+        "recovery_latency_s": report.service.mean_recovery_latency_s,
         "mean_error_m": float(errors.mean()) if errors.size else float("nan"),
         "max_error_m": float(errors.max()) if errors.size else float("nan"),
         "wrong": wrong,

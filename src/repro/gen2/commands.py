@@ -9,8 +9,8 @@ full Query preamble or a frame-sync.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import ClassVar, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import ClassVar, Sequence, Union
 
 from repro.errors import ProtocolError
 from repro.gen2.bitops import Bits, bits_from_int, bits_to_int, validate_bits

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ProtocolError
-from repro.gen2.bitops import Bits, bits_to_int
+from repro.gen2.bitops import bits_to_int
 from repro.gen2.commands import Ack, Query, QueryAdjust, QueryRep
 from repro.gen2.crc import check_crc16
 from repro.gen2.tag_state import EpcReply, Gen2Tag, Rn16Reply

@@ -11,7 +11,7 @@ naturally avoid collisions" between it and environment tags.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np

@@ -10,7 +10,6 @@ phase, which the localization algorithm then consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -18,8 +18,8 @@ at the heart of the paper (§4.3, footnote 2).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from repro.constants import (
 from repro.dsp.signal import Signal
 from repro.dsp.units import db_to_linear
 from repro.errors import ConfigurationError, TagNotPoweredError
-from repro.gen2.bitops import Bits, bits_from_int, validate_bits
+from repro.gen2.bitops import bits_from_int, validate_bits
 from repro.gen2.tag_state import Gen2Tag
 
 

@@ -13,7 +13,7 @@ drops out of the antenna-array equations (paper §5.1, footnote 6).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

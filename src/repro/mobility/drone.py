@@ -8,7 +8,7 @@ and its hover jitter perturbs the SAR antenna positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np

@@ -13,10 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.channel.environment import Environment
-from repro.channel.pathloss import free_space_path_loss_db
 from repro.dsp.filters import Filter
 from repro.dsp.units import linear_to_db
 from repro.errors import ConfigurationError

@@ -19,7 +19,7 @@ from repro.dsp.signal import Signal
 from repro.dsp.units import db_to_linear
 from repro.errors import ConfigurationError
 from repro.relay.isolation import IsolationReport
-from repro.relay.self_interference import LeakagePath, require_stable
+from repro.relay.self_interference import require_stable
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,14 @@ analysis per hop, and a phasor-level measurement model for chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.channel.environment import Environment
 from repro.channel.pathloss import free_space_path_loss_db
-from repro.constants import RELAY_FREQUENCY_SHIFT_HZ, UHF_CENTER_FREQUENCY
+from repro.constants import UHF_CENTER_FREQUENCY
 from repro.dsp.units import db_to_linear
 from repro.errors import ConfigurationError, RelayInstabilityError
 from repro.localization.measurement import ThroughRelayMeasurement

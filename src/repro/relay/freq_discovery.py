@@ -16,8 +16,8 @@ footnote 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from repro.constants import (
     FCC_HOP_DWELL_SECONDS,
     RELAY_FREQ_SWEEP_TOTAL_SECONDS,
     UHF_BAND_START,
-    UHF_BAND_STOP,
     UHF_CHANNEL_SPACING,
     UHF_NUM_CHANNELS,
 )

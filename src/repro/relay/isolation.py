@@ -11,10 +11,7 @@ path, matching the paper's accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro import faults
 from repro.dsp.measurements import peak_tone_power_dbm, tone

@@ -13,8 +13,7 @@ upconvert pipeline. Two non-idealities matter to the evaluation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 

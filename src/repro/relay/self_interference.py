@@ -10,8 +10,7 @@ reader-relay range through the oscillation criterion of Eq. 3-4.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 

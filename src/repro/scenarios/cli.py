@@ -25,7 +25,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RFlyError
 from repro.runtime import RuntimeConfig, run_sweep
 from repro.scenarios import compiler, registry, toml_codec
 from repro.scenarios.spec import Scenario
@@ -243,6 +243,5 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "validate":
             return _cmd_validate(args.files)
         return _cmd_run(args)
-    except ConfigurationError as error:
-        parser.error(str(error))
-        return 2  # pragma: no cover - parser.error raises SystemExit
+    except RFlyError as error:
+        parser.exit(2, f"{parser.prog}: error: {error}\n")

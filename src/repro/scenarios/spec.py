@@ -759,6 +759,31 @@ class FleetSpec:
         return FleetSpec(**kwargs)
 
 
+#: A fixed tag closer than this to a line flight lies on it: the relay
+#: would fly through the tag, and a pose on it traces a zero-length ray.
+_TAG_CLEARANCE_M = 1e-3
+
+
+def _check_tags_off_flight(
+    trajectory: TrajectorySpec, tags: TagLayoutSpec, flight: str
+) -> None:
+    """Reject a fixed tag that lies on a fixed line flight."""
+    if trajectory.kind != "line" or tags.kind != "fixed":
+        return
+    x0, y0 = trajectory.x0_m, trajectory.y0_m
+    dx, dy = trajectory.x1_m - x0, trajectory.y1_m - y0
+    for x, y in tags.positions_m:
+        along = ((x - x0) * dx + (y - y0) * dy) / (dx * dx + dy * dy)
+        along = min(1.0, max(0.0, along))
+        if math.hypot(x - x0 - along * dx, y - y0 - along * dy) < (
+            _TAG_CLEARANCE_M
+        ):
+            raise ConfigurationError(
+                f"fixed tag at ({x:g}, {y:g}) m lies on the {flight} "
+                "line flight; move the flight or the tag"
+            )
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One declarative evaluation world.
@@ -789,6 +814,15 @@ class Scenario:
                 f"scenario name {self.name!r} must be alphanumeric/_ "
                 "(it doubles as a registry key and file stem)"
             )
+        _check_tags_off_flight(self.trajectory, self.tags, "scenario's")
+        if self.fleet is not None:
+            for name, relay in zip(
+                self.fleet.relay_names(), self.fleet.relays
+            ):
+                if relay.trajectory is not None:
+                    _check_tags_off_flight(
+                        relay.trajectory, self.tags, f"relay {name!r}"
+                    )
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready mapping (``fleet``/``fault_plan`` omitted when

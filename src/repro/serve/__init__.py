@@ -21,12 +21,14 @@ Layout:
   the degradation decision.
 * :mod:`~repro.serve.service` — the :class:`LocalizationService`
   facade (submit / step / estimate / finalize).
-* :mod:`~repro.serve.traffic` — the replayable workload stream and its
-  replay (:func:`repro.scenarios.compiler.generate_workload` builds
-  streams from named scenarios).
+* :mod:`~repro.serve.traffic` — the replayable workload stream and
+  :func:`~repro.serve.traffic.replay`, the one loop that drives a
+  stream through a service and returns its books as a
+  :class:`ServeRunReport` (:func:`repro.scenarios.compiler.generate_workload`
+  builds streams from named scenarios).
 * :mod:`~repro.serve.shard` — consistent-hash sharding across ``M``
-  independent workers, bit-identical (under partitioned capacity
-  isolation) to the unsharded service.
+  independent workers, each replayed by the same loop, bit-identical
+  (under partitioned capacity isolation) to the unsharded service.
 
 ``python -m repro.serve`` smoke-runs a generated workload against the
 service and (with ``--obs-dir``) writes trace/metrics artifacts.
@@ -55,6 +57,7 @@ from repro.serve.traffic import (
     ServeRunReport,
     TrafficWorkload,
     UpdateEvent,
+    replay,
     run_workload,
 )
 
@@ -79,6 +82,7 @@ __all__ = [
     "TrafficWorkload",
     "UpdateEvent",
     "VirtualClock",
+    "replay",
     "run_sharded_workload",
     "run_workload",
 ]

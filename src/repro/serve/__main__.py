@@ -29,11 +29,7 @@ from repro.obs import metrics as metrics_mod
 from repro.obs import tracing as tracing_mod
 from repro.scenarios.compiler import generate_workload
 from repro.serve.config import ServeConfig
-from repro.serve.shard import (
-    ShardConfig,
-    ShardedRunReport,
-    run_sharded_workload,
-)
+from repro.serve.shard import ShardConfig, run_sharded_workload
 from repro.serve.traffic import ServeRunReport, run_workload
 
 
@@ -100,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_report(report: "ServeRunReport | ShardedRunReport") -> str:
+def _render_report(report: ServeRunReport) -> str:
     """The fixed-width summary table of one replayed workload."""
     service = report.service
     lines = [

@@ -50,13 +50,13 @@ from __future__ import annotations
 import bisect
 import contextlib
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import faults
-from repro.errors import ConfigurationError, LocalizationError, ServeError
+from repro.errors import ConfigurationError
 from repro.localization.grid import Grid2D
 from repro.localization.measurement import ThroughRelayMeasurement
 from repro.obs import metrics, tracing
@@ -70,7 +70,7 @@ from repro.serve.service import (
     ServiceReport,
     _percentile_s,
 )
-from repro.serve.traffic import TrafficWorkload, UpdateEvent
+from repro.serve.traffic import ServeRunReport, TrafficWorkload, replay
 
 #: Default virtual nodes per shard on the ring; enough that the
 #: keyspace split stays within a few percent of uniform at small M.
@@ -212,6 +212,11 @@ def _require_partitioned(config: ServeConfig) -> None:
         )
 
 
+def _pooled(samples: Sequence[Sequence[float]]) -> List[float]:
+    """Per-shard samples concatenated in shard order."""
+    return [sample for shard in samples for sample in shard]
+
+
 def merge_service_reports(
     reports: Sequence[ServiceReport],
     latencies_s: Sequence[Sequence[float]],
@@ -230,15 +235,9 @@ def merge_service_reports(
     permutation-invariant up to float association; the tests pin
     order-insensitivity of the merged numbers).
     """
-    pooled: List[float] = [
-        sample for samples in latencies_s for sample in samples
-    ]
-    recoveries: List[float] = [
-        sample for samples in recoveries_s for sample in samples
-    ]
-    handoffs: List[float] = [
-        sample for samples in handoffs_s for sample in samples
-    ]
+    pooled = _pooled(latencies_s)
+    recoveries = _pooled(recoveries_s)
+    handoffs = _pooled(handoffs_s)
     return ServiceReport(
         updates_accepted=sum(r.updates_accepted for r in reports),
         updates_applied=sum(r.updates_applied for r in reports),
@@ -384,69 +383,35 @@ class _ShardPayload:
     """Everything one shard worker needs, picklable for process pools."""
 
     index: int
-    shard_id: str
     config: ServeConfig
-    events: Tuple[UpdateEvent, ...]
-    grids: Dict[str, Grid2D]
-    tag_positions: Dict[str, np.ndarray]
-    duration_s: float
+    workload: TrafficWorkload
     fault_plan: Optional[faults.FaultPlan]
     seed: int
     cache_dir: Optional[str]
 
 
 @dataclass(frozen=True)
-class _ShardResult:
-    """One shard's replay, summarized for in-order merging."""
-
-    index: int
-    shard_id: str
-    report: ServiceReport
-    latencies_s: Tuple[float, ...]
-    recovery_latencies_s: Tuple[float, ...]
-    handoff_latencies_s: Tuple[float, ...]
-    estimates: Dict[str, np.ndarray]
-    errors_m: Dict[str, float]
-    ladders: Dict[str, Tuple[Tuple[int, str], ...]]
-    session_loss: Dict[str, int]
-    metrics_snapshot: Dict[str, Any]
-    injected: int
-
-
-@dataclass(frozen=True)
-class ShardedRunReport:
+class ShardedRunReport(ServeRunReport):
     """A workload replayed through the sharded service, merged."""
 
     n_shards: int
     assignment: Dict[str, str]
-    service: ServiceReport
-    offered: int
-    duration_s: float
-    throughput_per_s: float
-    shed_fraction: float
-    degraded_fraction: float
-    estimates: Dict[str, np.ndarray]
-    errors_m: Dict[str, float]
-    ladders: Dict[str, Tuple[Tuple[int, str], ...]]
-    session_loss: Dict[str, int]
-    per_shard: Tuple[ServiceReport, ...] = field(default_factory=tuple)
-    injected: int = 0
-    #: Raw per-update latency samples pooled across shards, sorted —
-    #: what long-horizon consumers (``repro.soak``) pool further to
-    #: compute whole-run percentiles instead of averaging per-run
-    #: percentiles.
-    latency_samples_s: Tuple[float, ...] = ()
+    per_shard: Tuple[ServiceReport, ...]
+    injected: int
 
 
-def _replay_shard(payload: _ShardPayload) -> _ShardResult:
+def _replay_shard(
+    payload: _ShardPayload,
+) -> Tuple[ServeRunReport, Dict[str, Any], int]:
     """Replay one shard's event stream through a fresh worker.
 
     Runs identically in-process and in a pool worker: fresh metrics
     registry, optional fault engine engaged with this shard's spawned
-    seed, event-driven submit+step loop with the ``serve.shard`` reboot
-    hook checked at each event time, then drain and finalize every
-    session (sorted) at the workload's end time — the explicit
-    ``now_s`` keeps per-shard clocks aligned however events split.
+    seed, then :func:`~repro.serve.traffic.replay` with this worker's
+    ``serve.shard`` reboot hook, finalizing at the workload's end time
+    — the explicit time keeps per-shard clocks aligned however events
+    split. Returns the shard's report, metrics snapshot and injection
+    count.
     """
     registry = metrics.MetricsRegistry()
     cache = (
@@ -460,67 +425,14 @@ def _replay_shard(payload: _ShardPayload) -> _ShardResult:
             engine = stack.enter_context(
                 faults.engaged(payload.fault_plan, seed=payload.seed)
             )
-        service = LocalizationService(payload.config, cache=cache)
-        for session_id in sorted(payload.grids):
-            service.open_session(
-                session_id, payload.grids[session_id], now_s=0.0
-            )
-        for event in payload.events:
-            if faults.rebooted(
-                "serve.shard",
-                index=payload.index,
-                now_s=event.time_s,
-            ):
-                service.kill_sessions(event.time_s)
-            service.submit(
-                event.session_id,
-                event.measurement,
-                now_s=event.time_s,
-            )
-            service.step()
-        service.drain()
-        estimates: Dict[str, np.ndarray] = {}
-        errors_m: Dict[str, float] = {}
-        ladders: Dict[str, Tuple[Tuple[int, str], ...]] = {}
-        for session_id in sorted(payload.grids):
-            live = service.store.sessions().get(session_id)
-            if live is not None and live.degraded.n_poses < 2:
-                continue
-            try:
-                result = service.finalize(
-                    session_id, now_s=payload.duration_s
-                )
-            except (ServeError, LocalizationError):
-                # Dead without a checkpoint, or restored with too
-                # little data for a fix — a session-local outcome,
-                # so skipping it is shard-invariant.
-                continue
-            estimates[session_id] = result.position
-            errors_m[session_id] = float(
-                np.linalg.norm(
-                    result.position - payload.tag_positions[session_id]
-                )
-            )
-            ladders[session_id] = service.final_ladder(session_id)
-        session_loss = {
-            session_id: service.session_data_loss(session_id)
-            for session_id in sorted(payload.grids)
-            if service.session_data_loss(session_id)
-        }
-        return _ShardResult(
-            index=payload.index,
-            shard_id=payload.shard_id,
-            report=service.report(),
-            latencies_s=service.latency_samples(),
-            recovery_latencies_s=service.recovery_latency_samples(),
-            handoff_latencies_s=service.handoff_latency_samples(),
-            estimates=estimates,
-            errors_m=errors_m,
-            ladders=ladders,
-            session_loss=session_loss,
-            metrics_snapshot=registry.snapshot(),
-            injected=len(engine.injections) if engine is not None else 0,
+        report = replay(
+            LocalizationService(payload.config, cache=cache),
+            payload.workload,
+            finalize_at_s=payload.workload.duration_s,
+            shard_index=payload.index,
         )
+        injected = len(engine.injections) if engine is not None else 0
+    return report, registry.snapshot(), injected
 
 
 def run_sharded_workload(
@@ -553,18 +465,19 @@ def run_sharded_workload(
         payloads.append(
             _ShardPayload(
                 index=index,
-                shard_id=shard_id,
                 config=config,
-                events=tuple(
-                    event
-                    for event in workload.events
-                    if assignment[event.session_id] == shard_id
+                workload=TrafficWorkload(
+                    events=tuple(
+                        event
+                        for event in workload.events
+                        if assignment[event.session_id] == shard_id
+                    ),
+                    grids={s: workload.grids[s] for s in owned},
+                    tag_positions={
+                        s: workload.tag_positions[s] for s in owned
+                    },
+                    duration_s=workload.duration_s,
                 ),
-                grids={s: workload.grids[s] for s in owned},
-                tag_positions={
-                    s: workload.tag_positions[s] for s in owned
-                },
-                duration_s=workload.duration_s,
                 fault_plan=fault_plan,
                 seed=seeds[index],
                 cache_dir=(
@@ -586,62 +499,44 @@ def run_sharded_workload(
             )
         else:
             results = [_replay_shard(payload) for payload in payloads]
+    reports = [report for report, _, _ in results]
     registry = metrics.active_registry()
-    estimates: Dict[str, np.ndarray] = {}
-    errors_m: Dict[str, float] = {}
-    ladders: Dict[str, Tuple[Tuple[int, str], ...]] = {}
-    session_loss: Dict[str, int] = {}
-    for result in results:
-        estimates.update(result.estimates)
-        errors_m.update(result.errors_m)
-        ladders.update(result.ladders)
-        session_loss.update(result.session_loss)
-        if registry is not None:
-            registry.merge_snapshot(result.metrics_snapshot)
+    if registry is not None:
+        for payload, (report, snapshot, _) in zip(payloads, results):
+            registry.merge_snapshot(snapshot)
             registry.set_gauge(
-                f"serve.shard.{result.index}.sessions",
-                float(
-                    sum(
-                        1
-                        for shard_id in assignment.values()
-                        if shard_id == result.shard_id
-                    )
-                ),
+                f"serve.shard.{payload.index}.sessions",
+                float(len(payload.workload.grids)),
             )
             registry.set_gauge(
-                f"serve.shard.{result.index}.applied",
-                float(result.report.updates_applied),
+                f"serve.shard.{payload.index}.applied",
+                float(report.service.updates_applied),
             )
-    merged = merge_service_reports(
-        [result.report for result in results],
-        [result.latencies_s for result in results],
-        [result.recovery_latencies_s for result in results],
-        [result.handoff_latencies_s for result in results],
-    )
-    offered = len(workload.events)
-    busy_s = max(merged.busy_s, 1e-12)
+    latency_samples = [r.latency_samples_s for r in reports]
+    recovery_samples = [r.recovery_samples_s for r in reports]
+    handoff_samples = [r.handoff_samples_s for r in reports]
     return ShardedRunReport(
+        service=merge_service_reports(
+            [r.service for r in reports],
+            latency_samples,
+            recovery_samples,
+            handoff_samples,
+        ),
+        offered=len(workload.events),
+        duration_s=workload.duration_s,
+        estimates={k: v for r in reports for k, v in r.estimates.items()},
+        errors_m={k: v for r in reports for k, v in r.errors_m.items()},
+        ladders={k: v for r in reports for k, v in r.ladders.items()},
+        session_loss={
+            k: v for r in reports for k, v in r.session_loss.items()
+        },
+        failures={k: v for r in reports for k, v in r.failures.items()},
+        unadmitted=sum(r.unadmitted for r in reports),
+        latency_samples_s=tuple(sorted(_pooled(latency_samples))),
+        recovery_samples_s=tuple(_pooled(recovery_samples)),
+        handoff_samples_s=tuple(_pooled(handoff_samples)),
         n_shards=shards.n_shards,
         assignment=assignment,
-        service=merged,
-        offered=offered,
-        duration_s=workload.duration_s,
-        throughput_per_s=merged.updates_applied / busy_s,
-        shed_fraction=merged.updates_shed / max(1, offered),
-        degraded_fraction=(
-            merged.updates_degraded / max(1, merged.updates_applied)
-        ),
-        estimates=estimates,
-        errors_m=errors_m,
-        ladders=ladders,
-        session_loss=session_loss,
-        per_shard=tuple(result.report for result in results),
-        injected=sum(result.injected for result in results),
-        latency_samples_s=tuple(
-            sorted(
-                sample
-                for result in results
-                for sample in result.latencies_s
-            )
-        ),
+        per_shard=tuple(r.service for r in reports),
+        injected=sum(injected for _, _, injected in results),
     )

@@ -10,7 +10,7 @@ stored EPC (paper §5.1).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Sequence, Set
+from typing import Callable, Sequence, Set
 
 import numpy as np
 

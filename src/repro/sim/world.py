@@ -29,7 +29,7 @@ from repro.localization.measurement import (
 from repro.localization.pipeline import Localizer, LocalizationResult
 from repro.mobility.drone import Drone
 from repro.mobility.groundtruth import OptiTrack
-from repro.mobility.trajectory import Trajectory, TrajectorySample
+from repro.mobility.trajectory import Trajectory
 from repro.sim.events import inventory_at_pose
 from repro.sim.readrate import RangeConfig, RangeModel
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.channel import (
     Environment,
-    Material,
     Ray,
     Wall,
     one_way_channel,

@@ -10,7 +10,7 @@ from repro.channel.pathloss import (
     free_space_range_for_loss,
     log_distance_path_loss_db,
 )
-from repro.constants import SPEED_OF_LIGHT, UHF_CENTER_FREQUENCY
+from repro.constants import UHF_CENTER_FREQUENCY
 from repro.errors import LinkBudgetError
 
 F = UHF_CENTER_FREQUENCY

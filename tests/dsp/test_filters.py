@@ -5,7 +5,6 @@ downlink LPF must pass the 100 kHz-wide query and crush the 500 kHz tag
 response; the uplink BPF must do the opposite.
 """
 
-import numpy as np
 import pytest
 
 from repro.constants import (

@@ -24,7 +24,7 @@ from repro.errors import (
     RelayRebootError,
     TagNotPoweredError,
 )
-from repro.faults import FaultPlan, FaultSpec, Trigger
+from repro.faults import FaultPlan, Trigger
 from repro.gen2.bitops import bits_from_int
 from repro.gen2.crc import append_crc16, check_crc16
 from repro.hardware import PassiveTag, ReaderFrontend, Synthesizer

@@ -1,7 +1,6 @@
 """Property-based tests of the inventory MAC."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gen2 import Gen2Tag, run_inventory

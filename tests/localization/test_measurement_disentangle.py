@@ -13,7 +13,6 @@ from repro.errors import (
 )
 from repro.localization import (
     MeasurementModel,
-    ThroughRelayMeasurement,
     disentangle,
     disentangle_series,
 )

@@ -15,7 +15,7 @@ from repro.localization import (
     sar_heatmap,
     select_nearest_to_trajectory,
 )
-from repro.localization.peaks import Peak, distance_to_polyline
+from repro.localization.peaks import distance_to_polyline
 
 F = UHF_CENTER_FREQUENCY
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.dsp import Signal
 from repro.errors import EncodingError, SignalError
-from repro.gen2.backscatter import FM0Encoder, MillerEncoder, TagParams
+from repro.gen2.backscatter import TagParams
 from repro.reader.channel_estimation import (
     align_to_preamble,
     codec_for,

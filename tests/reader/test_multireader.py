@@ -1,6 +1,5 @@
 """Tests for multi-reader interference management (§4.3)."""
 
-import numpy as np
 import pytest
 
 from repro.channel import Environment

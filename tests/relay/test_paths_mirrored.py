@@ -7,14 +7,12 @@ from repro.constants import GEN2_BLF_DEFAULT
 from repro.dsp import (
     LowPassFilter,
     Oscillator,
-    mean_power_dbm,
     peak_power_dbm,
     phase_of_tone,
     tone,
     tone_power_dbm,
 )
 from repro.dsp.amplifier import AmplifierChain, VariableGainAmplifier
-from repro.dsp.measurements import peak_tone_power_dbm
 from repro.dsp.units import amplitude_for_power_dbm
 from repro.errors import ConfigurationError, RelayError
 from repro.relay import MirroredRelay, NoMirrorRelay

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.scenarios import registry, toml_codec
+from repro.errors import ConfigurationError, GeometryError
+from repro.scenarios import cli, registry, toml_codec
 from repro.scenarios.cli import (
     SMOKE_MIN_RESOLUTION_M,
     SMOKE_MIN_SPACING_M,
@@ -115,6 +115,15 @@ class TestValidateCommand:
         )
         assert validate_files([good]) == []
 
+    def test_flight_through_a_fixed_tag_fails(self, tmp_path):
+        data = registry.get("rf_bench").to_dict()
+        (tag,) = data["tags"]["positions_m"]
+        data["trajectory"].update(x1_m=tag[0], y0_m=tag[1], y1_m=tag[1])
+        bad = tmp_path / "rf_bench.toml"
+        bad.write_text(toml_codec.dumps(data))
+        (problem,) = validate_files([bad])
+        assert "lies on the scenario's line flight" in problem
+
 
 class TestRunCommand:
     def test_smoke_run_prints_one_row_per_replicate(self, capsys):
@@ -152,3 +161,20 @@ class TestRunCommand:
         with pytest.raises(SystemExit):
             main(["run", "rf_bench", "--set", "radio.nope_hz=1.0"])
         assert "nope_hz" in capsys.readouterr().err
+
+    def test_typed_runtime_error_is_one_stderr_line(
+        self, monkeypatch, capsys
+    ):
+        def trace_fails(*args, **kwargs):
+            raise GeometryError("ray tracing requires distinct endpoints")
+
+        monkeypatch.setattr(cli, "run_sweep", trace_fails)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "rf_bench", "--smoke"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "python -m repro.scenarios: error: "
+            "ray tracing requires distinct endpoints"
+        ]

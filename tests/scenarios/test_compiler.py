@@ -12,14 +12,9 @@ from repro.scenarios.cli import smoke_variant
 from repro.scenarios.spec import Scenario
 from repro.sim import events
 
-#: The named scenarios the twelve experiments resolve; each must run
-#: end to end (ISSUE acceptance: five named scenarios under --smoke).
-NAMED_SCENARIOS = (
-    "paper_warehouse_two_floor",
-    "cold_storage_aisles",
-    "conveyor_flow_through",
-    "multi_floor_atrium",
-    "outdoor_yard",
+#: Every shipped library world must stream end to end under --smoke.
+LIBRARY_SCENARIOS = tuple(
+    sorted(path.stem for path in registry.LIBRARY_DIR.glob("*.toml"))
 )
 
 
@@ -85,7 +80,7 @@ class TestGen2Boundary:
 
 
 class TestEndToEnd:
-    @pytest.mark.parametrize("name", NAMED_SCENARIOS)
+    @pytest.mark.parametrize("name", LIBRARY_SCENARIOS)
     def test_named_scenario_runs_under_smoke(self, name):
         row = compiler.run_scenario(smoke_variant(registry.get(name)), seed=0)
         assert row["scenario"] == name

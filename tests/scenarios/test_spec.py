@@ -8,9 +8,11 @@ from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
 from repro.scenarios import registry, toml_codec
 from repro.scenarios.spec import (
+    FleetSpec,
     GridSpec,
     RadioSpec,
     ReaderSpec,
+    RelaySpec,
     Scenario,
     TagLayoutSpec,
     TrafficSpec,
@@ -74,6 +76,56 @@ class TestValidation:
         with pytest.raises(ConfigurationError) as err:
             Scenario.from_dict({"name": "x", "florplan": {}})
         assert "florplan" in str(err.value)
+
+
+class TestTagsOffTheFlight:
+    """A fixed tag on a fixed line flight cannot stream: the pose on it
+    traces a zero-length ray."""
+
+    LINE = TrajectorySpec(kind="line", x0_m=0.0, y0_m=0.0, x1_m=1.0)
+
+    def _tags(self, *positions):
+        return TagLayoutSpec(
+            kind="fixed", n_tags=len(positions), positions_m=positions
+        )
+
+    @pytest.mark.parametrize(
+        "position", [(0.5, 0.0), (1.0, 0.0), (0.0, 0.0005)]
+    )
+    def test_tag_on_the_scenario_flight_rejected(self, position):
+        with pytest.raises(ConfigurationError, match="line flight"):
+            Scenario(
+                name="x",
+                trajectory=self.LINE,
+                tags=self._tags((2.0, 2.0), position),
+            )
+
+    def test_tag_on_a_relay_flight_rejected(self):
+        fleet = FleetSpec(
+            relays=(
+                RelaySpec(name="a"),
+                RelaySpec(
+                    name="b",
+                    trajectory=TrajectorySpec(
+                        kind="line", x0_m=0.0, y0_m=1.0, x1_m=1.0, y1_m=1.0
+                    ),
+                ),
+            )
+        )
+        with pytest.raises(ConfigurationError, match="relay 'b'"):
+            Scenario(
+                name="x",
+                trajectory=self.LINE,
+                tags=self._tags((0.5, 1.0)),
+                fleet=fleet,
+            )
+
+    def test_tag_beside_or_beyond_the_flight_accepted(self):
+        Scenario(
+            name="x",
+            trajectory=self.LINE,
+            tags=self._tags((0.5, 0.25), (1.5, 0.0), (-0.01, 0.0)),
+        )
 
 
 def _without_name(data):

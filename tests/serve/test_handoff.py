@@ -13,7 +13,6 @@ updates after a swap; and checkpoints round-trip the archive.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro import faults
 from repro.constants import SPEED_OF_LIGHT, UHF_CENTER_FREQUENCY

@@ -19,7 +19,7 @@ import pytest
 from repro import faults
 from repro.constants import UHF_CENTER_FREQUENCY
 from repro.errors import ReferenceLostError, SessionNotFoundError
-from repro.faults import FaultPlan, FaultSpec, Trigger
+from repro.faults import FaultPlan, Trigger
 from repro.localization import Grid2D
 from repro.localization.measurement import (
     MeasurementModel,

@@ -16,7 +16,6 @@ The failover contract has three clauses, each pinned here:
 import numpy as np
 import pytest
 
-from repro import faults
 from repro.constants import UHF_CENTER_FREQUENCY
 from repro.errors import SessionNotFoundError
 from repro.faults import FaultPlan, Trigger

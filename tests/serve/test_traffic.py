@@ -1,14 +1,18 @@
 """Traffic generation and workload replay: determinism and the CLI."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.constants import UHF_CENTER_FREQUENCY
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReferenceLostError
+from repro.experiments.resilience import plan_for
+from repro.runtime.cache import ResultCache
 from repro.scenarios.compiler import generate_workload
-from repro.serve import ServeConfig, run_workload
+from repro.serve import LocalizationService, ServeConfig, replay, run_workload
 from repro.serve.__main__ import main
 
 F = UHF_CENTER_FREQUENCY
@@ -97,6 +101,78 @@ class TestRunWorkload:
         assert report.shed_fraction == 0.0
         assert len(report.estimates) == 2
         assert all(err < 0.5 for err in report.errors_m.values())
+
+
+class TestReplayFinalizeRule:
+    """Every session ends with a fix or a typed failure, never neither."""
+
+    def _kill_after_last_read(self, workload):
+        # One scheduling round per event: the last event's round kills.
+        return faults.FaultPlan.single(
+            "serve.session",
+            "reboot",
+            trigger=faults.Trigger(
+                kind="nth_call", n=len(workload.events) - 1
+            ),
+        )
+
+    def test_a_session_killed_after_its_last_read_fails_at_finalize(self):
+        workload = small_workload()
+        with faults.engaged(self._kill_after_last_read(workload), seed=0):
+            report = replay(
+                LocalizationService(ServeConfig(frequency_hz=F)), workload
+            )
+        assert report.errors_m == {}
+        assert report.failures == {
+            session_id: "SessionNotFoundError"
+            for session_id in workload.grids
+        }
+
+    def test_a_checkpoint_restores_it_at_finalize(self, tmp_path):
+        workload = small_workload()
+        with faults.engaged(self._kill_after_last_read(workload), seed=0):
+            report = replay(
+                LocalizationService(
+                    ServeConfig(frequency_hz=F), cache=ResultCache(tmp_path)
+                ),
+                workload,
+            )
+        assert report.failures == {}
+        assert report.errors_m.keys() == workload.grids.keys()
+        assert report.service.recoveries == len(workload.grids)
+
+    def test_a_session_with_one_read_is_not_finalized(self):
+        workload = small_workload()
+        first = next(
+            e for e in workload.events if e.session_id == "tag-0002"
+        )
+        thinned = dataclasses.replace(
+            workload,
+            events=tuple(
+                e
+                for e in workload.events
+                if e.session_id != "tag-0002" or e is first
+            ),
+        )
+        report = replay(
+            LocalizationService(ServeConfig(frequency_hz=F)), thinned
+        )
+        assert report.failures == {
+            "tag-0002": "InsufficientMeasurementsError"
+        }
+        assert set(report.errors_m) == set(report.ladders) == {"tag-0001"}
+
+    def test_typed_errors_propagate_unless_contained(self):
+        config = ServeConfig(frequency_hz=F, reference_timeout_s=0.1)
+        with faults.engaged(plan_for("outage", 0.5), seed=0):
+            workload = small_workload()
+            with pytest.raises(ReferenceLostError):
+                replay(LocalizationService(config), workload)
+        with faults.engaged(plan_for("outage", 0.5), seed=0):
+            workload = small_workload()
+            report = replay(LocalizationService(config), workload, contain=True)
+        assert set(report.failures.values()) == {"ReferenceLostError"}
+        assert report.unadmitted > 0
 
 
 class TestCli:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.inventory_db import Item, ItemDatabase, LocatedItem
+from repro.sim.inventory_db import Item, ItemDatabase
 
 
 def catalog():

@@ -7,7 +7,7 @@ from repro.channel import Environment
 from repro.errors import ConfigurationError
 from repro.hardware import PassiveTag
 from repro.mobility import LineTrajectory
-from repro.sim import TagObservation, World, WorldConfig
+from repro.sim import World, WorldConfig
 from repro.sim.events import inventory_at_pose
 
 

@@ -1,7 +1,6 @@
 """The examples must run end-to-end (they carry their own assertions)."""
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest
