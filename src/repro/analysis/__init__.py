@@ -1,8 +1,8 @@
 """reprolint: project-specific static analysis for the RFly reproduction.
 
-The package parses ``src/repro`` with :mod:`ast` and enforces the
-correctness contracts that the rest of the codebase relies on but that
-nothing else checks mechanically:
+The package parses ``src/repro`` with :mod:`ast`, one file at a time,
+and enforces the correctness contracts that the rest of the codebase
+relies on but that nothing else checks mechanically:
 
 * **Unit-suffix discipline** (``U1xx``) — public parameters, function
   names, and dataclass fields holding physical quantities carry a unit
@@ -13,16 +13,23 @@ nothing else checks mechanically:
 * **dB/linear hygiene** (``U106``) — raw ``10 ** (x / 10)`` and
   ``10 * log10(x)`` conversions outside :mod:`repro.dsp.units` must go
   through the shared converters.
-* **Determinism** (``R3xx``) — no argless ``np.random.default_rng()``,
-  no legacy ``np.random.*`` global-state calls, no stdlib :mod:`random`
-  in library code; randomness is injected as seeded ``Generator``s.
+* **Determinism** (``R3xx``) — no unseeded ``default_rng()``/
+  ``SeedSequence()``, no legacy ``np.random.*`` global state, no
+  stdlib :mod:`random`, :mod:`secrets`, ``os.urandom`` or
+  ``uuid1/4``, no worker pools outside :mod:`repro.runtime`, and no
+  hash-ordered walk of a set; randomness is injected as seeded
+  ``Generator``s.
 * **API contracts** (``A4xx``) — public functions are
   return-annotated, modules have docstrings and
   ``from __future__ import annotations``, and bare ``except:`` /
   mutable default arguments are errors.
+* **Observability, faults and process state** (``O5xx``, ``F601``,
+  ``P701``) — clocks, queues, routing hashes, fault injection and
+  module-level state go through their owning layers.
 
-Run it as ``python -m repro.analysis src/repro``; the zero-findings
-state of the tree is enforced as a tier-1 test in
+Each rule bans a defect where it enters a module, so no rule needs to
+see another file. Run it as ``python -m repro.analysis src/repro``;
+the zero-findings state of the tree is enforced as a tier-1 test in
 ``tests/test_static_analysis.py``.
 """
 

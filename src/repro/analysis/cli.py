@@ -24,8 +24,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "reprolint: unit-suffix, dB/linear, determinism, and "
-            "API-contract static analysis for the RFly reproduction"
+            "reprolint: per-file unit-suffix, dB/linear, determinism, "
+            "API-contract, observability, fault-injection and "
+            "process-state static analysis for the RFly reproduction"
         ),
     )
     parser.add_argument(

@@ -18,7 +18,7 @@ DEFAULT_ALLOWED_UNSUFFIXED: Tuple[str, ...] = (
 #: ``repro/dsp/units.py`` is the one module allowed to spell out the raw
 #: dB/linear conversion formulas — it *is* the converter.
 DEFAULT_PER_PATH_IGNORES: Mapping[str, Tuple[str, ...]] = {
-    "*repro/dsp/units.py": ("U106", "U113"),
+    "*repro/dsp/units.py": ("U106",),
 }
 
 

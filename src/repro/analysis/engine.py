@@ -1,22 +1,18 @@
 """Analysis engine: file discovery, parsing, rule dispatch, filtering.
 
-Since the whole-program upgrade the engine runs in two passes: it
-first parses every file and builds the :class:`ProjectModel` (import
-graph, symbol table, call graph), then dispatches the rules per module
-with the model attached to each :class:`ModuleContext`. Single-source
-entry points (``analyze_source``) build a one-module model so the
-dataflow rules still resolve same-module calls.
+Every rule is a per-file check, so the engine is one pass: parse a
+file, run the enabled rules on its AST, move on. Nothing is shared
+between files.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.findings import Finding
-from repro.analysis.project import ProjectModel, module_name_for_path
 from repro.analysis.rules import ModuleContext, all_rules
 
 
@@ -36,49 +32,9 @@ def iter_python_files(paths: Sequence[str], config: AnalysisConfig) -> Iterator[
             yield path
 
 
-def parse_tree(
-    paths: Sequence[str], config: AnalysisConfig
-) -> Tuple[Dict[str, ast.Module], List[Finding]]:
-    """Parse every file under ``paths``: (path -> AST, parse findings).
-
-    A file that fails to read or parse becomes an ``E998``/``E999``
-    finding rather than an exception, so one broken file cannot hide
-    the report for the rest of the tree.
-    """
-    sources: Dict[str, ast.Module] = {}
-    findings: List[Finding] = []
-    for path in iter_python_files(paths, config):
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            findings.append(
-                Finding(str(path), 1, 0, "E998", f"cannot read file: {exc}")
-            )
-            continue
-        try:
-            sources[str(path)] = ast.parse(text, filename=str(path))
-        except SyntaxError as exc:
-            findings.append(
-                Finding(str(path), exc.lineno or 1, 0, "E999", f"syntax error: {exc.msg}")
-            )
-    return sources, findings
-
-
-def analyze_module(
-    tree: ast.Module,
-    path: str,
-    config: AnalysisConfig,
-    project: Optional[ProjectModel] = None,
-    module_name: str = "",
-) -> List[Finding]:
+def analyze_module(tree: ast.Module, path: str, config: AnalysisConfig) -> List[Finding]:
     """Run every enabled rule over one parsed module."""
-    ctx = ModuleContext(
-        path=path,
-        tree=tree,
-        config=config,
-        project=project,
-        module_name=module_name or module_name_for_path(path),
-    )
+    ctx = ModuleContext(path=path, tree=tree, config=config)
     findings: List[Finding] = []
     for rule in all_rules():
         if not config.rule_enabled(rule.code):
@@ -93,24 +49,15 @@ def analyze_source(
     source: str,
     path: str = "<string>",
     config: Optional[AnalysisConfig] = None,
-    project: Optional[ProjectModel] = None,
 ) -> List[Finding]:
     """Run every enabled rule over one module's source text.
 
     This is the entry point the rule unit tests use: they feed
     deliberately-broken snippets through the same dispatch path the CLI
-    uses, so a rule passing its tests is the rule the gate runs. When
-    no ``project`` is supplied, a single-module model is built so the
-    dataflow rules resolve same-module calls.
+    uses, so a rule passing its tests is the rule the gate runs.
     """
     config = config or AnalysisConfig()
-    tree = ast.parse(source, filename=path)
-    module_name = module_name_for_path(path) if path != "<string>" else "string"
-    if project is None:
-        project = ProjectModel.build({path: tree}, names={path: module_name})
-    return analyze_module(
-        tree, path, config, project=project, module_name=module_name
-    )
+    return analyze_module(ast.parse(source, filename=path), path, config)
 
 
 def analyze_paths(
@@ -118,22 +65,26 @@ def analyze_paths(
 ) -> List[Finding]:
     """Analyze every Python file under ``paths`` and collect findings.
 
-    Builds the whole-program model over the full file set first, so
-    cross-module rules (U11x, R31x, P70x) see every symbol, then
-    analyzes each module against it in path order.
+    A file that fails to read or parse becomes an ``E998``/``E999``
+    finding rather than an exception, so one broken file cannot hide
+    the report for the rest of the tree.
     """
     config = config or AnalysisConfig()
-    sources, findings = parse_tree(paths, config)
-    project = ProjectModel.build(sources)
-    for path in sorted(sources):
-        summary = project.module_for_path(path)
-        findings.extend(
-            analyze_module(
-                sources[path],
-                path,
-                config,
-                project=project,
-                module_name=summary.name if summary else "",
+    findings: List[Finding] = []
+    for path in iter_python_files(paths, config):
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            findings.append(
+                Finding(str(path), 1, 0, "E998", f"cannot read file: {exc}")
             )
-        )
+            continue
+        try:
+            tree = ast.parse(text, filename=str(path))
+        except SyntaxError as exc:
+            findings.append(
+                Finding(str(path), exc.lineno or 1, 0, "E999", f"syntax error: {exc.msg}")
+            )
+            continue
+        findings.extend(analyze_module(tree, str(path), config))
     return sorted(findings)

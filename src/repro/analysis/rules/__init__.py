@@ -7,10 +7,7 @@ from repro.analysis.rules import (  # noqa: F401  (registration)
     determinism,
     faults,
     observability,
-    purity,
-    taint,
     units,
-    unitflow,
 )
 from repro.analysis.rules.base import ModuleContext, Rule, all_rules, register
 

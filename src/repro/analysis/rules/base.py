@@ -4,42 +4,19 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Type
+from typing import Dict, Iterator, List, Type
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.findings import Finding
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.project import FunctionSummary, ProjectModel
-
 
 @dataclass(frozen=True)
 class ModuleContext:
-    """Everything a rule needs to inspect one parsed module.
-
-    ``project`` carries the whole-program model (symbol table, import
-    graph, call graph) when the engine analyzed a full tree; rules that
-    use it degrade gracefully to single-module resolution when only one
-    source was analyzed, and ``module_name`` names this module inside
-    the model.
-    """
+    """Everything a rule needs to inspect one parsed module."""
 
     path: str
     tree: ast.Module
     config: AnalysisConfig
-    project: "Optional[ProjectModel]" = None
-    module_name: str = ""
-
-    def resolver(self) -> "Callable[[str], Optional[FunctionSummary]]":
-        """Resolve raw dotted call targets against the project model."""
-        project, module = self.project, self.module_name
-
-        def _resolve(chain: str) -> "Optional[FunctionSummary]":
-            if project is None:
-                return None
-            return project.resolve_call(module, chain)
-
-        return _resolve
 
 
 class Rule:

@@ -4,9 +4,9 @@ Faults enter the simulator through exactly one surface: a declarative
 :class:`repro.faults.FaultPlan` engaged around the code under test. The
 hooks compiled into the hardware, relay, channel, and serving layers
 fire only for an engaged plan, so every injection is seeded, logged,
-and counted. Ad-hoc monkeypatching of repro internals — reassigning a
-module attribute, ``setattr`` on a module, ``mock.patch`` over a
-``repro.*`` target — bypasses all of that: the "fault" is invisible to
+and counted. Ad-hoc monkeypatching of repro internals — reassigning an
+attribute of a module or class, ``setattr`` on one, ``mock.patch`` over
+a ``repro.*`` target — bypasses all of that: the "fault" is invisible to
 the injection log, unreproducible across seeds, and leaks past the
 block that installed it. Library code must not do it (tests are
 exempt; their fixtures clean up after themselves).
@@ -34,33 +34,28 @@ def _is_exempt(ctx: ModuleContext) -> bool:
     return any(fragment in path for fragment in FAULTS_EXEMPT_FRAGMENTS)
 
 
-def _repro_module_aliases(tree: ast.Module) -> Set[str]:
-    """Names in this module bound to (probable) ``repro`` modules.
+def _repro_names(tree: ast.Module) -> Set[str]:
+    """Names in this module bound to ``repro`` modules, classes or functions.
 
     ``import repro.x`` binds ``repro``; ``import repro.x as y`` binds
-    ``y``; ``from repro[.pkg] import name`` binds ``name``, which is a
-    submodule exactly when it is lowercase (classes are CamelCase
-    throughout the codebase, so this heuristic is safe here).
+    ``y``; ``from repro[.pkg] import name`` binds ``name``.
     """
-    aliases: Set[str] = set()
+    names: Set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name == "repro" or alias.name.startswith("repro."):
                     if alias.asname is not None:
-                        aliases.add(alias.asname)
+                        names.add(alias.asname)
                     else:
-                        aliases.add(alias.name.split(".")[0])
+                        names.add(alias.name.split(".")[0])
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if node.level == 0 and (
                 module == "repro" or module.startswith("repro.")
             ):
-                for alias in node.names:
-                    bound = alias.asname or alias.name
-                    if bound == bound.lower():
-                        aliases.add(bound)
-    return aliases
+                names.update(alias.asname or alias.name for alias in node.names)
+    return names
 
 
 def _attribute_root(node: ast.AST) -> str:
@@ -85,9 +80,11 @@ def _call_name(func: ast.AST) -> str:
 class AdHocFaultInjection(Rule):
     """F601: faults injected by monkeypatching instead of repro.faults.
 
-    Reassigning an attribute on an imported ``repro`` module (or
-    ``setattr``/``mock.patch`` over a ``repro.*`` target) installs an
-    invisible, unseeded, unlogged fault that outlives its scope. Build
+    Reassigning an attribute of an imported ``repro`` module, class or
+    function (``ServeConfig.latency_slo_s = ...`` is process state that
+    outlives the call), or ``setattr``/``mock.patch`` over a
+    ``repro.*`` target, installs an invisible, unseeded, unlogged fault
+    that outlives its scope. Build
     a :class:`repro.faults.FaultPlan` and wrap the code under test in
     ``faults.engaged(plan, seed=...)`` — the compiled hooks then fire
     deterministically and land in the injection log and metrics.
@@ -103,7 +100,7 @@ class AdHocFaultInjection(Rule):
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if _is_exempt(ctx):
             return
-        aliases = _repro_module_aliases(ctx.tree)
+        aliases = _repro_names(ctx.tree)
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = (
@@ -119,9 +116,10 @@ class AdHocFaultInjection(Rule):
                         yield self.finding(
                             ctx,
                             node,
-                            "monkeypatching a repro module attribute; "
-                            "inject faults with a repro.faults.FaultPlan "
-                            "engaged around the code under test",
+                            "monkeypatching an attribute of a repro module "
+                            "or class; inject faults with a "
+                            "repro.faults.FaultPlan engaged around the "
+                            "code under test",
                         )
             elif isinstance(node, ast.Call):
                 name = _call_name(node.func)
@@ -134,7 +132,7 @@ class AdHocFaultInjection(Rule):
                     yield self.finding(
                         ctx,
                         node,
-                        "setattr on a repro module; inject faults with a "
+                        "setattr on a repro module or class; inject faults with a "
                         "repro.faults.FaultPlan instead of patching "
                         "internals",
                     )

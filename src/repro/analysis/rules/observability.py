@@ -2,9 +2,11 @@
 
 Timing belongs to the tracing layer: spans carry wall/CPU time into run
 manifests, and :func:`repro.obs.tracing.wall_clock_s` is the sanctioned
-raw clock. Ad-hoc ``time.perf_counter()`` stopwatches scattered through
-library code bypass that surface — their measurements never reach a
-manifest, a trace file, or the metrics registry.
+raw clock for CLI status lines. Ad-hoc ``time.perf_counter()``
+stopwatches scattered through library code bypass that surface — their
+measurements never reach a manifest, a trace file, or the metrics
+registry — and a clock read in library code can reach a seed or a
+result and break bit-identical replay.
 
 Buffering belongs to the serving layer for the same reason: an
 unbounded ``deque``/``queue.Queue`` hides backlog growth that
@@ -21,7 +23,7 @@ is stable across processes, machines, and interpreter versions.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterator, Optional
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules.base import ModuleContext, Rule, register
@@ -46,6 +48,22 @@ CLOCK_FUNCTIONS = frozenset(
 )
 
 
+#: The ``repro.obs`` clock helpers, sanctioned for CLI status lines.
+OBS_CLOCK_HELPERS = frozenset({"wall_clock_s", "cpu_clock_s"})
+
+#: File names of the CLI entry modules, the one place outside the
+#: exempt packages where a status line may read a clock helper.
+CLI_ENTRY_MODULES = frozenset({"cli.py", "__main__.py"})
+
+#: ``datetime`` calls that read the calendar clock: (owner, method).
+CALENDAR_CLOCKS = frozenset(
+    {("datetime", "now"), ("datetime", "utcnow"), ("datetime", "today"), ("date", "today")}
+)
+
+#: Imported names O501 follows through ``as`` renames.
+ALIASED_CLOCK_NAMES = OBS_CLOCK_HELPERS | {"datetime", "date"}
+
+
 #: Path fragments allowed to build raw deques/queues: the serving layer
 #: owns admission control (``BoundedBuffer`` checks capacity explicitly
 #: because ``maxlen`` would silently drop the wrong end).
@@ -67,13 +85,16 @@ def _is_queue_exempt(ctx: ModuleContext) -> bool:
 
 @register
 class AdHocTiming(Rule):
-    """O501: raw clock reads outside ``repro.obs``/``repro.runtime``.
+    """O501: clock reads outside ``repro.obs``/``repro.runtime``.
 
     A ``time.perf_counter()`` pair is an untracked span: its duration
     is printed or dropped instead of landing in the run manifest. Wrap
-    the region in ``repro.obs.tracing.span(...)``, or call
-    ``repro.obs.wall_clock_s()`` when only a raw timestamp difference
-    is needed (e.g. CLI status lines).
+    the region in ``repro.obs.tracing.span(...)``. The raw helpers
+    ``repro.obs.wall_clock_s()``/``cpu_clock_s()`` and the calendar
+    clock (``datetime.now()``, ``date.today()``, ...) are allowed only
+    in CLI entry modules (``cli.py``, ``__main__.py``), for status
+    lines: anywhere else a clock value can reach a seed, a task
+    payload or a result row and break bit-identical replay.
     """
 
     code = "O501"
@@ -83,21 +104,18 @@ class AdHocTiming(Rule):
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if _is_exempt(ctx):
             return
+        is_cli = ctx.path.replace("\\", "/").rsplit("/", 1)[-1] in CLI_ENTRY_MODULES
+        aliases: "dict[str, str]" = {}  # `import wall_clock_s as now` -> now
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if alias.asname and alias.name in ALIASED_CLOCK_NAMES:
+                        aliases[alias.asname] = alias.name
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in CLOCK_FUNCTIONS
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id == "time"
-                ):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"ad-hoc time.{func.attr}() timing; use a "
-                        "repro.obs.tracing span (or repro.obs.wall_clock_s)",
-                    )
+                message = _clock_call_message(node.func, aliases, is_cli)
+                if message is not None:
+                    yield self.finding(ctx, node, message)
             elif isinstance(node, ast.ImportFrom):
                 if node.module == "time" and node.level == 0:
                     for alias in node.names:
@@ -106,9 +124,34 @@ class AdHocTiming(Rule):
                                 ctx,
                                 node,
                                 f"importing {alias.name} from time for ad-hoc "
-                                "timing; use a repro.obs.tracing span (or "
-                                "repro.obs.wall_clock_s)",
+                                "timing; use a repro.obs.tracing span (or, in "
+                                "a CLI entry module, repro.obs.wall_clock_s)",
                             )
+
+
+def _clock_call_message(func: ast.AST, aliases: "dict[str, str]", is_cli: bool) -> Optional[str]:
+    """The O501 message for a call of ``func``, or None when it reads no clock."""
+    owner: Optional[ast.AST] = None
+    if isinstance(func, ast.Name):
+        name = aliases.get(func.id, func.id)
+    elif isinstance(func, ast.Attribute):
+        name, owner = func.attr, func.value
+    else:
+        return None
+    owner_name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+    if isinstance(owner, ast.Name) and owner_name == "time" and name in CLOCK_FUNCTIONS:
+        return (
+            f"ad-hoc time.{name}() timing; use a repro.obs.tracing span "
+            "(or, in a CLI entry module, repro.obs.wall_clock_s)"
+        )
+    if is_cli:
+        return None
+    if name in OBS_CLOCK_HELPERS:
+        return "repro.obs clock helper outside a CLI entry module; use a repro.obs.tracing span"
+    owner_name = aliases.get(owner_name or "", owner_name)
+    if (owner_name, name) in CALENDAR_CLOCKS:
+        return f"{owner_name}.{name}() reads the calendar clock outside a CLI entry module"
+    return None
 
 
 def _has_bound_argument(node: ast.Call, keyword: str) -> bool:

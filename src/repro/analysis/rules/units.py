@@ -19,19 +19,137 @@ Two deliberate limits keep the checker honest rather than clever:
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules.base import ModuleContext, Rule, register
-from repro.analysis.unitlang import (
-    families_compatible_additive,
-    family_of,
-    has_physical_stem,
-    head_noun_is_physical_stem,
-    identifier_name,
-    operand_family,
-    suffix_of,
+
+#: unit suffix token -> dimension family
+UNIT_FAMILIES = {
+    "db": "db",
+    "dbi": "db",
+    "dbc": "db",
+    "dbm": "dbm",
+    "hz": "hz",
+    "khz": "hz",
+    "mhz": "hz",
+    "ghz": "hz",
+    "m": "m",
+    "mm": "m",
+    "cm": "m",
+    "km": "m",
+    "meters": "m",
+    "s": "s",
+    "ms": "s",
+    "us": "s",
+    "ns": "s",
+    "sec": "s",
+    "seconds": "s",
+    "rad": "angle",
+    "deg": "angle",
+    "watts": "watts",
+    "mw": "watts",
+    "ppm": "ppm",
+}
+
+#: snake-case tokens whose presence marks an identifier as physical.
+#: Kept to tokens whose dimension is unambiguous in RF code so U101
+#: stays high-precision; dimensionless names (``rate``, ``snr`` as a
+#: bare ratio, ``gain`` of a linear amplifier object) are indirected
+#: through the suffix lexicon instead.
+PHYSICAL_STEMS = frozenset(
+    {
+        "frequency",
+        "freq",
+        "wavelength",
+        "bandwidth",
+        "cutoff",
+        "distance",
+        "spacing",
+        "separation",
+        "altitude",
+        "aperture",
+        "wattage",
+        "dwell",
+        "latency",
+        "azimuth",
+        "elevation",
+        "attenuation",
+        "isolation",
+    }
 )
+
+#: Families that may mix additively / in comparisons: adding a dB gain
+#: to a dBm power yields dBm, and dBm - dBm yields dB, so the decibel
+#: families are mutually compatible.
+_ADDITIVE_COMPATIBLE = frozenset({frozenset({"db", "dbm"})})
+
+
+def suffix_of(name: str) -> Optional[str]:
+    """The unit-suffix token of ``name`` (lowercased), or None.
+
+    Only underscore-separated trailing tokens count, so a variable
+    named plainly ``m`` or ``s`` carries no unit claim.
+    """
+    lowered = name.lower()
+    if "_" not in lowered:
+        return None
+    token = lowered.rsplit("_", 1)[1]
+    return token if token in UNIT_FAMILIES else None
+
+
+def family_of(name: str) -> Optional[str]:
+    """The dimension family of ``name``'s unit suffix, or None.
+
+    Ratio names (``noise_dbm_per_hz``) take the *numerator*'s family:
+    a dBm/Hz density plus a dB(Hz) bandwidth term is a dBm power, so
+    treating the density as decibel-family keeps the canonical noise-
+    floor sum (``N = kTB`` in dB form) clean while still flagging a
+    density added to, say, a distance.
+    """
+    lowered = name.lower()
+    if "_per_" in lowered:
+        numerator = lowered.split("_per_", 1)[0]
+        token = numerator.rsplit("_", 1)[-1]
+        return UNIT_FAMILIES.get(token)
+    token = suffix_of(name)
+    return UNIT_FAMILIES[token] if token else None
+
+
+def identifier_name(node: ast.AST) -> Optional[str]:
+    """The trailing identifier of a Name/Attribute operand, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def operand_family(node: ast.AST) -> Optional[str]:
+    """Dimension family claimed by an identifier-shaped operand."""
+    name = identifier_name(node)
+    return family_of(name) if name else None
+
+
+def families_compatible_additive(a: str, b: str) -> bool:
+    """Whether families ``a`` and ``b`` may be added/subtracted/compared."""
+    return a == b or frozenset({a, b}) in _ADDITIVE_COMPATIBLE
+
+
+def has_physical_stem(name: str) -> bool:
+    """True when a snake-case token of ``name`` is a physical stem."""
+    return any(tok in PHYSICAL_STEMS for tok in name.lower().split("_"))
+
+
+def head_noun_is_physical_stem(name: str) -> bool:
+    """True when the *last* snake-case token of ``name`` is a physical stem.
+
+    Used for function names, where the head noun is what the function
+    returns: a bare ``carrier_frequency`` returns a frequency and needs
+    a suffix, ``frequency_shift_ablation`` returns an ablation result
+    and does not.
+    """
+    return name.lower().rsplit("_", 1)[-1] in PHYSICAL_STEMS
 
 
 def _is_number(node: ast.AST, value: float) -> bool:

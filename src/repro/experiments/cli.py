@@ -36,7 +36,7 @@ import argparse
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RFlyError
 from repro.experiments import registry
 from repro.experiments.registry import ExperimentSpec
 from repro.experiments.runner import ExperimentOutput
@@ -389,14 +389,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             scenario = scenario_override(
                 spec, args.scenario, args.scenario_sets
             )
-        except ConfigurationError as error:
+            if scenario is not None:
+                overrides["scenario"] = scenario
+            run = registry.run_experiment(
+                spec, runtime=runtime, smoke=args.smoke,
+                observers=observers, **overrides,
+            )
+        except RFlyError as error:
             parser.error(str(error))
-        if scenario is not None:
-            overrides["scenario"] = scenario
-        run = registry.run_experiment(
-            spec, runtime=runtime, smoke=args.smoke,
-            observers=observers, **overrides,
-        )
         for output in run.outputs:
             print(output.report())
             print()

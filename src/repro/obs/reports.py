@@ -45,10 +45,10 @@ REPORT_SCHEMA_VERSION = 1
 REPORT_KINDS: Tuple[str, ...] = ("bench", "soak_trend")
 
 #: Unit-suffix vocabulary for float metric keys: the reprolint
-#: ``unitlang`` lexicon plus the dimensionless report suffixes
-#: (``_ratio``/``_fraction``/``_abs``) and the soak horizon's
-#: ``_hours``. A float that fits none of these is either misnamed or
-#: belongs in ``context``.
+#: lexicon of ``repro.analysis.rules.units`` plus the dimensionless
+#: report suffixes (``_ratio``/``_fraction``/``_abs``) and the soak
+#: horizon's ``_hours``. A float that fits none of these is either
+#: misnamed or belongs in ``context``.
 METRIC_SUFFIXES: Tuple[str, ...] = (
     "s",
     "ms",

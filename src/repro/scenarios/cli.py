@@ -32,7 +32,7 @@ from repro.scenarios.spec import Scenario
 
 #: ``--smoke`` floors: coarse enough that any library scenario replays
 #: in seconds while still exercising the full realize/stream/serve path.
-SMOKE_MIN_SPACING_M = 0.25
+SMOKE_MIN_SPACING_M = 0.15
 SMOKE_MIN_RESOLUTION_M = 0.20
 
 

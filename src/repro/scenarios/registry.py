@@ -11,7 +11,6 @@ registry name, or a path to a ``.toml``/``.json`` spec file.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Dict, Tuple, Union
@@ -47,7 +46,7 @@ def load_file(path: Union[str, Path]) -> Scenario:
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".json":
-        return Scenario.from_dict(json.loads(text))
+        return Scenario.from_json(text)
     if path.suffix == ".toml":
         return Scenario.from_dict(toml_codec.loads(text))
     raise ConfigurationError(

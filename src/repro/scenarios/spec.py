@@ -54,6 +54,18 @@ SELECTION_KINDS: Tuple[str, ...] = (
 
 _S = TypeVar("_S")
 
+#: What a malformed value raises inside a section decoder or a spec's
+#: checks (``float("a")``, ``len(5)``, ``"a" < 0``, ``int(inf)``, ...);
+#: the decode boundary re-raises them as ConfigurationError.
+_DECODE_ERRORS = (
+    TypeError,
+    ValueError,
+    AttributeError,
+    LookupError,
+    ArithmeticError,
+    RecursionError,
+)
+
 
 def _require_finite(label: str, value: float) -> float:
     """Reject NaN/inf early — canonical JSON/TOML cannot carry them."""
@@ -847,8 +859,16 @@ class Scenario:
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "Scenario":
         """Rebuild from :meth:`to_dict` output (missing sections take
-        their defaults, so hand-written specs can stay sparse)."""
-        kwargs = _filtered_kwargs(Scenario, data)
+        their defaults, so hand-written specs can stay sparse).
+
+        This is the decode boundary: a malformed spec raises
+        :class:`~repro.errors.ConfigurationError` naming its section,
+        never an untyped error.
+        """
+        if not isinstance(data, Mapping):
+            raise ConfigurationError(
+                f"a scenario must be a table, got {type(data).__name__}"
+            )
         converters: Dict[str, Any] = {
             "floorplan": FloorplanSpec.from_dict,
             "reader": ReaderSpec.from_dict,
@@ -860,16 +880,23 @@ class Scenario:
             "fleet": FleetSpec.from_dict,
             "fault_plan": FaultPlan.from_dict,
         }
-        for key, converter in converters.items():
-            section = kwargs.get(key)
-            if isinstance(section, Mapping):
-                kwargs[key] = converter(section)
-            elif section is not None:
-                raise ConfigurationError(
-                    f"scenario section {key!r} must be a table, "
-                    f"got {type(section).__name__}"
-                )
-        return Scenario(**kwargs)
+        where = "scenario"
+        try:
+            kwargs = _filtered_kwargs(Scenario, data)
+            for key, converter in converters.items():
+                section = kwargs.get(key)
+                if isinstance(section, Mapping):
+                    where = f"scenario section {key!r}"
+                    kwargs[key] = converter(section)
+                elif section is not None:
+                    raise ConfigurationError(
+                        f"scenario section {key!r} must be a table, "
+                        f"got {type(section).__name__}"
+                    )
+            where = "scenario"
+            return Scenario(**kwargs)
+        except _DECODE_ERRORS as error:
+            raise ConfigurationError(f"{where}: {error}") from error
 
     def to_json(self) -> str:
         """Compact, key-sorted JSON — the canonical wire form."""
@@ -880,7 +907,11 @@ class Scenario:
     @staticmethod
     def from_json(text: str) -> "Scenario":
         """Inverse of :meth:`to_json` (lossless, property-tested)."""
-        return Scenario.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except _DECODE_ERRORS as error:
+            raise ConfigurationError(f"scenario JSON: {error}") from error
+        return Scenario.from_dict(data)
 
     def with_overrides(self, overrides: Mapping[str, Any]) -> "Scenario":
         """A new scenario with dotted-path overrides applied.

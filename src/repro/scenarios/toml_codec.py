@@ -198,7 +198,7 @@ class _Parser:
         for part in parts:
             child = node.setdefault(part, {})
             if isinstance(child, list):
-                child = child[-1]
+                child = child[-1] if child else None
             if not isinstance(child, dict):
                 raise self._fail(
                     f"key {part!r} is a value, not a table"

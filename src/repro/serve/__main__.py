@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.constants import UHF_CENTER_FREQUENCY
+from repro.errors import RFlyError
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -119,9 +120,21 @@ def _render_report(report: ServeRunReport) -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point: a bad count or any typed error is one stderr
+    line and exit 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag, count in (("--tags", args.tags), ("--shards", args.shards)):
+        if count < 1:
+            parser.exit(2, f"{parser.prog}: error: {flag} must be >= 1, got {count}\n")
+    try:
+        return _run(args)
+    except RFlyError as error:
+        parser.exit(2, f"{parser.prog}: error: {error}\n")
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Replay the workload the parsed flags describe and print its table."""
     n_tags = 3 if args.smoke else args.tags
     grid_resolution = 0.15 if args.smoke else 0.10
     config = ServeConfig(

@@ -132,3 +132,10 @@ class TestCli:
         out = capsys.readouterr().out
         for code in ("U101", "U106", "R301", "A401"):
             assert code in out
+
+    def test_list_rules_is_the_per_file_catalogue(self, capsys):
+        assert main(["--list-rules"]) == 0
+        codes = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert len(codes) == 22 and {"R312", "P701"} <= set(codes)
+        removed = ("U110", "U111", "U112", "U113", "U114", "U115", "R310", "R311", "R313")
+        assert not [code for code in codes if code.startswith(removed + ("P702", "P703"))]

@@ -47,6 +47,25 @@ class TestMonkeypatchingFlagged:
         """
         assert codes(src) == ["F601"]
 
+    def test_repro_class_attribute_assignment_flagged(self):
+        # A trial retuning a class default instead of passing an argument.
+        src = """
+        from repro.mobility.robot import GroundRobot
+        def _measure_with_jitter(trajectory, spacing_m, rng, jitter_std_m):
+            GroundRobot.track_jitter_std_m = jitter_std_m
+            return GroundRobot().drive(trajectory, spacing_m, rng)
+        """
+        assert codes(src, path="src/repro/scenarios/trials.py") == ["F601"]
+
+    def test_repro_config_class_attribute_in_a_task_flagged(self):
+        src = """
+        from repro.serve.config import ServeConfig
+        def _load_point(frequency_hz, latency_slo_s, seed):
+            ServeConfig.latency_slo_s = latency_slo_s
+            return ServeConfig(frequency_hz=frequency_hz)
+        """
+        assert codes(src, path="src/repro/experiments/serve_bench.py") == ["F601"]
+
     def test_setattr_on_repro_module_flagged(self):
         src = """
         from repro import faults

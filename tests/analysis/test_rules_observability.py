@@ -1,4 +1,4 @@
-"""Observability rules: ad-hoc clock reads outside the sanctioned layers."""
+"""Observability rules: clock reads, unbounded queues, salted hashing."""
 
 from __future__ import annotations
 
@@ -55,6 +55,60 @@ class TestAdHocTiming:
     def test_from_time_import_mixed_names(self):
         # sleep is fine; the clock import in the same statement is not.
         assert codes("from time import sleep, monotonic") == ["O501"]
+
+    def test_wall_clock_seeded_policy_rng_is_flagged(self):
+        # An epsilon-greedy relay policy seeded from the obs clock.
+        src = """
+        import numpy as np
+        from repro.obs import wall_clock_s
+        class EpsilonGreedy:
+            def __init__(self, epsilon):
+                self.epsilon = epsilon
+                self._rng = np.random.default_rng(int(wall_clock_s()))
+        """
+        assert codes_at(src, "src/repro/fleet/selection.py") == ["O501"]
+
+    def test_wall_clock_task_seed_is_flagged(self):
+        src = """
+        from repro.obs.tracing import wall_clock_s as now
+        from repro.runtime import SweepTask
+        def build_tasks(load_point, loads):
+            return [
+                SweepTask.make(load_point, params={"load": load}, seed=int(now()))
+                for load in loads
+            ]
+        """
+        assert codes_at(src, "src/repro/experiments/serve_bench.py") == ["O501"]
+
+    def test_wall_clock_in_task_row_is_flagged(self):
+        src = """
+        from repro import obs
+        def _load_point(load, seed):
+            return {"load": load, "host_s": obs.wall_clock_s()}
+        """
+        assert codes_at(src, "src/repro/experiments/serve_bench.py") == ["O501"]
+
+    def test_module_qualified_cpu_clock_is_flagged(self):
+        src = "import repro.obs.tracing\nt = repro.obs.tracing.cpu_clock_s()"
+        assert codes_at(src, "src/repro/soak/driver.py") == ["O501"]
+
+    def test_calendar_clock_is_flagged(self):
+        src = """
+        import datetime
+        from datetime import date, datetime as dt
+        stamp = (dt.now(), dt.utcnow(), date.today(), datetime.datetime.today())
+        """
+        assert codes(src) == ["O501"] * 4
+
+    def test_cli_entry_modules_may_read_the_helpers(self):
+        src = """
+        from datetime import datetime
+        from repro.obs import wall_clock_s
+        start_s = wall_clock_s()
+        print(f"done in {wall_clock_s() - start_s:.1f} s at {datetime.now()}")
+        """
+        assert codes_at(src, "src/repro/serve/__main__.py") == []
+        assert codes_at(src, "src/repro/experiments/cli.py") == []
 
 
 class TestNonClockTimeUsagePasses:
@@ -157,6 +211,10 @@ class TestExemptPaths:
     def test_experiments_module_is_not_exempt(self):
         src = "import time\nstart = time.perf_counter()"
         assert "O501" in codes_at(src, "src/repro/experiments/cli.py")
+
+    def test_obs_package_may_read_its_own_helpers(self):
+        src = "from repro.obs.tracing import wall_clock_s\nt = wall_clock_s()"
+        assert codes_at(src, "src/repro/obs/metrics.py") == []
 
     def test_windows_style_paths_are_normalized(self):
         src = "import time\nstart = time.perf_counter()"

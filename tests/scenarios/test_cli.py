@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.constants import SPEED_OF_LIGHT
 from repro.errors import ConfigurationError, GeometryError
 from repro.scenarios import cli, registry, toml_codec
 from repro.scenarios.cli import (
@@ -43,6 +44,17 @@ class TestSmokeVariant:
         smoke = smoke_variant(fine)
         assert smoke.trajectory.spacing_m == SMOKE_MIN_SPACING_M
         assert smoke.grid.resolution_m >= SMOKE_MIN_RESOLUTION_M
+
+    def test_smoke_spacing_samples_above_the_spatial_nyquist_rate(self):
+        wavelength_m = SPEED_OF_LIGHT / registry.get("rf_bench").radio.center_frequency_hz
+        assert SMOKE_MIN_SPACING_M < wavelength_m / 2
+
+    def test_rf_bench_smoke_replicates_localize(self, capsys):
+        assert main(["run", "rf_bench", "--smoke", "--replicates", "4"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()
+        errors_m = [float(row.split(" err=")[1].split("m ")[0]) for row in rows]
+        assert len(errors_m) == 4
+        assert max(errors_m) <= 0.05, rows
 
     def test_never_refines_coarse_scenarios(self):
         coarse = Scenario(name="coarse").with_overrides(

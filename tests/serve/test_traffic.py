@@ -191,3 +191,20 @@ class TestCli:
         assert "serve.updates.accepted" in names
         first_span = json.loads(trace.read_text().splitlines()[0])
         assert "name" in first_span
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--tags", "0"], "--tags must be >= 1, got 0"),
+            (["--shards", "0", "--smoke"], "--shards must be >= 1, got 0"),
+            (["--shards", "-2", "--smoke"], "--shards must be >= 1, got -2"),
+            (["--smoke", "--load", "0"], "load factor must be positive"),
+        ],
+    )
+    def test_bad_input_is_one_stderr_line_and_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"python -m repro.serve: error: {message}"]

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.__main__ import EXPERIMENTS, main
+from repro.errors import GeometryError
+from repro.experiments import registry
 
 
 def test_list_prints_all_experiments(capsys):
@@ -59,6 +61,17 @@ def test_run_subcommand_rejects_unknown_name(capsys):
     with pytest.raises(SystemExit):
         main(["run", "fig99"])
     assert "unknown experiment" in capsys.readouterr().err
+
+
+def test_typed_runtime_error_exits_via_parser_error(monkeypatch, capsys):
+    def trace_fails(*args, **kwargs):
+        raise GeometryError("ray tracing requires distinct endpoints")
+
+    monkeypatch.setattr(registry, "run_experiment", trace_fails)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "fig6"])
+    assert exit_info.value.code == 2
+    assert "error: ray tracing requires distinct endpoints" in capsys.readouterr().err
 
 
 def test_trace_and_metrics_flags_print_reports(capsys, tmp_path):

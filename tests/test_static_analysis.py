@@ -25,7 +25,7 @@ BASELINE_FILE = REPO_ROOT / "reprolint-baseline.json"
 
 @pytest.fixture(scope="module")
 def package_findings():
-    """One whole-package lint shared by the gate tests (a ~4.5 s pass).
+    """One whole-package lint shared by the gate tests (a ~3 s pass).
 
     Baseline keys are repo-relative, so the analysis runs from the
     repository root.
@@ -69,23 +69,24 @@ def test_gate_is_not_vacuous():
 
 def test_analyzer_passes_its_own_rules():
     """Dogfood: the analyzer package itself stays clean under every
-    rule it ships, including the whole-program U11x/R31x/P70x ones."""
+    rule it ships."""
     findings = analyze_paths([str(REPO_SRC / "analysis")])
     assert findings == [], "\n" + render_text(findings)
 
 
-def test_flow_rules_are_exercised_by_the_gate():
-    """The zero-findings gate must actually run the dataflow rules —
-    a seeded cross-function unit bug has to surface as U111."""
-    import tempfile
-
+def test_flow_rules_are_exercised_by_the_gate(tmp_path):
+    """The zero-findings gate must run the rules that ban entropy,
+    clock reads, set-order walks and module-state mutation where they
+    happen: a seeded module has to surface R303, O501, R312 and P701."""
     source = (
-        "def attenuate(power_dbm):\n"
-        "    return power_dbm\n"
-        "def g(distance_m):\n"
-        "    return attenuate(distance_m)\n"
+        "import os\n"
+        "from repro.obs import wall_clock_s\n"
+        "_SEEN = set()\n"
+        "def seeds(tags):\n"
+        "    salt = int.from_bytes(os.urandom(4), 'little')\n"
+        "    _SEEN.update(tags)\n"
+        "    return [salt ^ int(wall_clock_s()) for tag in set(tags)]\n"
     )
-    with tempfile.TemporaryDirectory() as tmp:
-        (Path(tmp) / "bad.py").write_text(source)
-        findings = analyze_paths([tmp])
-        assert any(f.code == "U111" for f in findings)
+    (tmp_path / "bad.py").write_text(source)
+    codes = {f.code for f in analyze_paths([str(tmp_path)])}
+    assert {"R303", "O501", "R312", "P701"} <= codes
