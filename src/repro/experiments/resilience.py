@@ -86,11 +86,14 @@ def plan_for(fault_class: str, rate: float) -> faults.FaultPlan:
     if fault_class == "outage":
         # One sustained blackout (drone behind a metal obstruction)
         # whose length scales with ``rate`` — long outages outlast the
-        # reference-reacquisition window and must fail *typed*.
+        # reference-reacquisition window and must fail *typed*. A rate
+        # too small to move the window's end past float resolution
+        # leaves the window empty: no call is dropped.
+        stop = _OUTAGE_START_CALL + rate * _OUTAGE_SPAN_CALLS
+        if stop <= _OUTAGE_START_CALL:
+            return faults.FaultPlan()
         window = faults.Trigger(
-            kind="call_window",
-            start=_OUTAGE_START_CALL,
-            stop=_OUTAGE_START_CALL + rate * _OUTAGE_SPAN_CALLS,
+            kind="call_window", start=_OUTAGE_START_CALL, stop=stop
         )
         return faults.FaultPlan.single("channel.link", "drop", trigger=window)
     if fault_class == "pose_loss":

@@ -108,11 +108,6 @@ class LinkTiming:
             + self.t2_seconds
         )
 
-    @property
-    def empty_slot_seconds(self) -> float:
-        """An idle slot: QueryRep plus the T1+T3 listening window."""
-        return self.query_rep_seconds + self.t1_seconds + self.t2_seconds
-
     def reads_per_second(self, slot_efficiency: float = 0.35) -> float:
         """Sustained tag reads per second.
 

@@ -54,11 +54,6 @@ class ReaderFrontend:
         self.noise_figure_db = float(noise_figure_db)
         self.rng = rng
 
-    @property
-    def carrier_frequency_hz(self) -> float:
-        """The RF carrier the reader transmits (including crystal error)."""
-        return self.synthesizer.oscillator.actual_frequency_hz
-
     def transmit(self, baseband: Signal) -> Signal:
         """Upconvert a unit-scale baseband waveform at the TX power.
 

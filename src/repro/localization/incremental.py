@@ -26,7 +26,7 @@ session is the one-segment case of the same code.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -282,56 +282,6 @@ class IncrementalSar:
         run offline.
         """
         return finalize_segments([self])
-
-    # -- checkpoint / restore ----------------------------------------------------
-
-    def to_payload(self) -> Dict[str, Any]:
-        """A picklable snapshot (grid, parameters, sum, history)."""
-        positions, channels = self.history()
-        return {
-            "frequency_hz": self.frequency_hz,
-            "grid": (
-                self.grid.x_min,
-                self.grid.x_max,
-                self.grid.y_min,
-                self.grid.y_max,
-                self.grid.resolution,
-            ),
-            "chunk_nodes": self.chunk_nodes,
-            "fine_resolution": self.fine_resolution,
-            "fine_span": self.fine_span,
-            "relative_threshold": self.relative_threshold,
-            "use_nearest_peak_rule": self.use_nearest_peak_rule,
-            "accumulator": self._accumulator.copy(),
-            "positions": positions,
-            "channels": channels,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "IncrementalSar":
-        """Rebuild an accumulator from :meth:`to_payload` output."""
-        instance = cls(
-            frequency_hz=payload["frequency_hz"],
-            grid=Grid2D(*payload["grid"]),
-            chunk_nodes=payload["chunk_nodes"],
-            fine_resolution=payload["fine_resolution"],
-            fine_span=payload["fine_span"],
-            relative_threshold=payload["relative_threshold"],
-            use_nearest_peak_rule=payload["use_nearest_peak_rule"],
-        )
-        accumulator = np.asarray(payload["accumulator"], dtype=complex)
-        if accumulator.shape != instance._accumulator.shape:
-            raise LocalizationError(
-                "checkpoint accumulator does not match the grid shape"
-            )
-        positions = np.asarray(payload["positions"], dtype=float)
-        channels = np.asarray(payload["channels"], dtype=complex)
-        instance._accumulator = accumulator
-        if len(positions):
-            instance._positions = [positions]
-            instance._channels = [channels]
-        instance._n_poses = len(positions)
-        return instance
 
 
 # -- multi-segment (fleet handoff) combination -----------------------------------

@@ -82,11 +82,6 @@ class ForwardingPath:
         return self.lo_in.nominal_frequency_hz
 
     @property
-    def output_frequency_hz(self) -> float:
-        """RF center the path transmits at."""
-        return self.lo_out.nominal_frequency_hz
-
-    @property
     def gain_db(self) -> float:
         """Small-signal conversion gain of the path."""
         return self.amplifiers.total_gain_db

@@ -89,6 +89,7 @@ class ServeConfig:
         on its own stream, which is what makes a consistent-hash
         sharded run (:mod:`repro.serve.shard`) bit-identical to the
         unsharded service. Sharding *requires* partitioned isolation.
+        :meth:`server_of` is the one place the mode is decided.
     """
 
     frequency_hz: float
@@ -165,6 +166,14 @@ class ServeConfig:
         if threshold_s is None:  # pragma: no cover - unreachable after init
             return self.latency_slo_s / 2.0
         return threshold_s
+
+    def server_of(self, session_id: str) -> str:
+        """The virtual server that does ``session_id``'s work.
+
+        ``""`` names the one shared server; under partitioned capacity
+        every session is its own server, named by its id.
+        """
+        return session_id if self.capacity_mode == "partitioned" else ""
 
     def batch_cost_s(self, projected_nodes: int) -> float:
         """Virtual service time of one micro-batch projecting N nodes."""

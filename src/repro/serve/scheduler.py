@@ -1,23 +1,24 @@
 """The micro-batch scheduler and the degradation decision.
 
 One scheduling *round* coalesces every session's pending updates into
-per-session micro-batches (each a single vectorized grid projection
-through the chunked ``SarGeometry`` fast path) and orders them
-deterministically: oldest queued work first, session id as the
-tie-break. The scheduler plans against the virtual cost model, keeping
-a running projection of the server's backlog as it lays batches out —
-so when the projected queueing delay of a batch crosses
-``degrade_threshold_s``, that batch (and the rest of an overloaded
-round) drops to the degraded grid, which is roughly
-``degraded_resolution_factor ** 2`` cheaper per pose. Catch-up of
-deferred full-resolution work rides along only while the server is
-ahead of the SLO.
+per-session micro-batches and orders them deterministically: oldest
+queued work first, session id as the tie-break. The service stages the
+round's batches and folds them all in one stacked
+:func:`~repro.localization.batched.fold_blocks` call. The scheduler
+plans against the virtual cost model, keeping a running projection of
+each virtual server's backlog (:meth:`ServeConfig.server_of`) as it
+lays batches out — so when the projected queueing delay of a batch
+crosses ``degrade_threshold_s``, that batch (and the rest of an
+overloaded round on the same server) drops to the degraded grid, which
+is roughly ``degraded_resolution_factor ** 2`` cheaper per pose.
+Catch-up of deferred full-resolution work rides along only while the
+server is ahead of the SLO.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.serve.config import ServeConfig
 from repro.serve.queueing import PendingUpdate
@@ -60,23 +61,20 @@ class MicroBatchScheduler:
         self,
         sessions: Dict[str, TagSession],
         now_s: float,
-        backlog_s: float,
-        backlogs: Optional[Mapping[str, float]] = None,
+        busy_until_s: Mapping[str, float],
     ) -> List[BatchPlan]:
         """Lay out one round of micro-batches over the pending work.
 
-        ``backlog_s`` is how far the (shared) server already runs
-        behind the clock (virtual busy time minus now). Sessions are
-        visited oldest-head-first; each batch's degradation mode is
-        decided from the delay its *first* update would see — queue
-        wait so far plus the projected backlog including the batches
-        already planned this round.
-
-        With ``backlogs`` given (partitioned capacity isolation), each
-        session is its own virtual server: its decision uses only its
-        own backlog, and batches planned for *other* sessions this
-        round never feed into it — sessions stop coupling through the
-        scheduler, which is what shard-invariance requires.
+        ``busy_until_s`` maps each virtual server to the virtual time
+        its committed work ends. Sessions are visited
+        oldest-head-first; each batch's degradation mode is decided
+        from the delay its *first* update would see — queue wait so
+        far plus its server's projected backlog, which grows by every
+        batch already planned this round for the same server. Under
+        partitioned capacity a session is its own server and is
+        planned at most once per round, so sessions never couple
+        through the scheduler — which is what shard-invariance
+        requires.
         """
         config = self.config
         ready = [
@@ -87,18 +85,17 @@ class MicroBatchScheduler:
         ]
         ready.sort()
         plans: List[BatchPlan] = []
-        projected_backlog_s = max(0.0, float(backlog_s))
+        backlog_s: Dict[str, float] = {}
         for oldest_arrival_s, session_id in ready:
             session = sessions[session_id]
             updates = session.pending.take(config.max_batch_poses)
             if not updates:
                 continue
-            if backlogs is None:
-                wait_s = (now_s - oldest_arrival_s) + projected_backlog_s
-            else:
-                wait_s = (now_s - oldest_arrival_s) + max(
-                    0.0, float(backlogs.get(session_id, 0.0))
-                )
+            server = config.server_of(session_id)
+            projected_s = backlog_s.get(
+                server, max(0.0, busy_until_s.get(server, 0.0) - now_s)
+            )
+            wait_s = (now_s - oldest_arrival_s) + projected_s
             degraded = wait_s > config.degrade_threshold_s
             catchup_poses = 0
             if not degraded and session.lag_poses > 0:
@@ -117,5 +114,5 @@ class MicroBatchScheduler:
                     cost_s=cost_s,
                 )
             )
-            projected_backlog_s += cost_s
+            backlog_s[server] = projected_s + cost_s
         return plans

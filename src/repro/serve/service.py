@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,9 +54,28 @@ class StepReport:
     catchup_poses: int
 
 
+def _percentile_s(latencies_s: Sequence[float], q: float) -> float:
+    """A percentile of the recorded latencies (0 when none yet)."""
+    if not latencies_s:
+        return 0.0
+    return float(np.percentile(np.asarray(latencies_s, dtype=float), q))
+
+
+def _mean_s(samples_s: Sequence[float]) -> float:
+    """The mean of the samples in their stored order (0 when none)."""
+    return float(np.mean(samples_s)) if samples_s else 0.0
+
+
 @dataclass(frozen=True)
 class ServiceReport:
-    """Cumulative service-level numbers (virtual-time latencies)."""
+    """Cumulative service-level numbers (virtual-time latencies).
+
+    The report owns its raw samples and derives every latency summary
+    from them, so a merge pools samples instead of averaging summaries.
+    Latency and handoff samples are stored sorted, which makes a pooled
+    mean exactly independent of the order reports were merged in;
+    recovery samples keep the order recoveries happened in.
+    """
 
     updates_accepted: int
     updates_applied: int
@@ -65,23 +84,39 @@ class ServiceReport:
     full_batches: int
     degraded_batches: int
     catchup_poses: int
-    p50_latency_s: float
-    p99_latency_s: float
-    max_latency_s: float
     busy_s: float
     updates_rejected: int = 0
     updates_lost: int = 0
     recoveries: int = 0
-    mean_recovery_latency_s: float = 0.0
     handoffs: int = 0
-    mean_handoff_latency_s: float = 0.0
+    latency_samples_s: Tuple[float, ...] = ()
+    recovery_samples_s: Tuple[float, ...] = ()
+    handoff_samples_s: Tuple[float, ...] = ()
 
+    @property
+    def p50_latency_s(self) -> float:
+        """Median applied latency."""
+        return _percentile_s(self.latency_samples_s, 50.0)
 
-def _percentile_s(latencies_s: List[float], q: float) -> float:
-    """A percentile of the recorded latencies (0 when none yet)."""
-    if not latencies_s:
-        return 0.0
-    return float(np.percentile(np.asarray(latencies_s, dtype=float), q))
+    @property
+    def p99_latency_s(self) -> float:
+        """99th-percentile applied latency."""
+        return _percentile_s(self.latency_samples_s, 99.0)
+
+    @property
+    def max_latency_s(self) -> float:
+        """Worst applied latency."""
+        return self.latency_samples_s[-1] if self.latency_samples_s else 0.0
+
+    @property
+    def mean_recovery_latency_s(self) -> float:
+        """Mean virtual time from a fault to its recovery."""
+        return _mean_s(self.recovery_samples_s)
+
+    @property
+    def mean_handoff_latency_s(self) -> float:
+        """Mean virtual time from a handoff's first update to fold-in."""
+        return _mean_s(self.handoff_samples_s)
 
 
 class LocalizationService:
@@ -94,13 +129,12 @@ class LocalizationService:
         self.store = SessionStore(config, cache)
         self.scheduler = MicroBatchScheduler(config)
         self.clock = VirtualClock()
-        self._partitioned = config.capacity_mode == "partitioned"
-        #: Shared mode: the single server's busy horizon. Partitioned
-        #: mode: the *makespan* (max over per-session busy horizons).
+        #: Each virtual server's busy horizon, keyed by
+        #: :meth:`ServeConfig.server_of`.
+        self._server_busy_s: Dict[str, float] = {}
+        #: The makespan (``busy_s``): the latest horizon any server has
+        #: reached, and never earlier than the last round's clock.
         self._busy_until_s = 0.0
-        #: Per-session virtual servers (partitioned isolation only).
-        #: Entries survive finalize so the makespan stays monotonic.
-        self._session_busy_s: Dict[str, float] = {}
         self._seq = 0
         self._latencies_s: List[float] = []
         self._applied = 0
@@ -123,6 +157,15 @@ class LocalizationService:
         self._ref_lost_since_s: Dict[str, float] = {}
         self._loss_by_session: Dict[str, int] = {}
         self._final_ladders: Dict[str, Tuple[Tuple[int, str], ...]] = {}
+
+    def _charge(self, session_id: str, start_s: float, cost_s: float) -> float:
+        """Queue ``cost_s`` of work on the session's server from
+        ``start_s``; returns the virtual time the work completes."""
+        server = self.config.server_of(session_id)
+        done_s = max(self._server_busy_s.get(server, 0.0), start_s) + cost_s
+        self._server_busy_s[server] = done_s
+        self._busy_until_s = max(self._busy_until_s, done_s)
+        return done_s
 
     # -- recovery policies -------------------------------------------------------
 
@@ -154,18 +197,20 @@ class LocalizationService:
         stream with known holes and must not be trusted silently."""
         return self._loss_by_session.get(session_id, 0)
 
-    def _ride_out_ingest_faults(self, arrival_s: float) -> Optional[float]:
+    def _ride_out_ingest_faults(
+        self, session_id: str, arrival_s: float
+    ) -> Optional[float]:
         """Bounded deterministic-backoff retry against ingest faults.
 
-        Injected stalls charge the virtual server; injected transient
-        drops are retried up to ``config.ingest_retries`` times with
-        exponential backoff (``retry_backoff_s * factor**k``) advanced
-        on the virtual clock. Returns the possibly-delayed arrival
+        Injected stalls charge the session's virtual server; injected
+        transient drops are retried up to ``config.ingest_retries``
+        times with exponential backoff (``retry_backoff_s * factor**k``)
+        advanced on the virtual clock. Returns the possibly-delayed arrival
         time, or ``None`` once the retry budget is exhausted.
         """
         stall_s = faults.stall_s("serve.ingest", now_s=arrival_s)
         if stall_s > 0.0:
-            self._busy_until_s = max(self._busy_until_s, arrival_s) + stall_s
+            self._charge(session_id, arrival_s, stall_s)
             metrics.observe("serve.ingest.stall_s", stall_s)
         first_arrival_s = arrival_s
         attempt = 0
@@ -257,8 +302,8 @@ class LocalizationService:
         """Drain the session's queue, catch up, and close with a fix.
 
         The full-resolution catch-up and fine stage are charged to the
-        virtual server like any other work, so a finalize under load
-        takes its fair place in the backlog.
+        session's virtual server like any other work, so a finalize
+        under load takes its fair place in the backlog.
         """
         if now_s is not None:
             self.clock.advance_to(now_s)
@@ -266,21 +311,11 @@ class LocalizationService:
         while len(session.pending):
             self.step()
         catchup = session.total_lag_poses
-        cost_s = self.config.batch_cost_s(catchup * session.full_nodes)
-        if self._partitioned:
-            done_s = (
-                max(
-                    self._session_busy_s.get(session_id, 0.0),
-                    self.clock.now_s,
-                )
-                + cost_s
-            )
-            self._session_busy_s[session_id] = done_s
-            self._busy_until_s = max(self._busy_until_s, done_s)
-        else:
-            self._busy_until_s = (
-                max(self._busy_until_s, self.clock.now_s) + cost_s
-            )
+        self._charge(
+            session_id,
+            self.clock.now_s,
+            self.config.batch_cost_s(catchup * session.full_nodes),
+        )
         self._catchup_poses += catchup
         with tracing.span(
             "serve.finalize", session=session_id, catchup=catchup
@@ -312,7 +347,7 @@ class LocalizationService:
         )
         self.store.evict_expired(arrival_s)
         if faults.watching("serve.ingest"):
-            delayed_s = self._ride_out_ingest_faults(arrival_s)
+            delayed_s = self._ride_out_ingest_faults(session_id, arrival_s)
             if delayed_s is None:
                 return self._reject_update(session_id, "retries_exhausted")
             arrival_s = delayed_s
@@ -324,13 +359,11 @@ class LocalizationService:
         ):
             # The RF handoff window: the first update(s) arriving from
             # a new serving relay can stall (re-synchronization charged
-            # to the virtual server) or be lost outright — a loss is
+            # to the session's server) or be lost outright — a loss is
             # rejected loudly and flags the session's final fix.
             stall_s = faults.stall_s("relay.handoff", now_s=arrival_s)
             if stall_s > 0.0:
-                self._busy_until_s = (
-                    max(self._busy_until_s, arrival_s) + stall_s
-                )
+                self._charge(session_id, arrival_s, stall_s)
                 metrics.observe("serve.handoff.stall_s", stall_s)
             if faults.dropped("relay.handoff", now_s=arrival_s):
                 return self._reject_update(session_id, "handoff")
@@ -387,7 +420,7 @@ class LocalizationService:
 
     @property
     def backlog_s(self) -> float:
-        """How far the virtual server runs behind the clock."""
+        """How far the busiest virtual server runs behind the clock."""
         return max(0.0, self._busy_until_s - self.clock.now_s)
 
     def step(self, now_s: Optional[float] = None) -> StepReport:
@@ -399,21 +432,10 @@ class LocalizationService:
         if faults.rebooted("serve.session", now_s=now):
             self._service_kill(now)
         with tracing.span("serve.step", queue_depth=self.queue_depth):
-            if self._partitioned:
-                backlogs = {
-                    sid: max(
-                        0.0, self._session_busy_s.get(sid, 0.0) - now
-                    )
-                    for sid in self.store.sessions()
-                }
-                plans = self.scheduler.plan_round(
-                    self.store.sessions(), now, 0.0, backlogs=backlogs
-                )
-            else:
-                plans = self.scheduler.plan_round(
-                    self.store.sessions(), now, self.backlog_s
-                )
-            busy_until_s = max(self._busy_until_s, now)
+            plans = self.scheduler.plan_round(
+                self.store.sessions(), now, self._server_busy_s
+            )
+            self._busy_until_s = max(self._busy_until_s, now)
             applied = 0
             degraded_batches = 0
             catchup_total = 0
@@ -434,19 +456,7 @@ class LocalizationService:
                         staged.extend(
                             session.stage_catchup(plan.catchup_poses)
                         )
-                if self._partitioned:
-                    done_s = (
-                        max(
-                            self._session_busy_s.get(plan.session_id, 0.0),
-                            now,
-                        )
-                        + plan.cost_s
-                    )
-                    self._session_busy_s[plan.session_id] = done_s
-                    busy_until_s = max(busy_until_s, done_s)
-                else:
-                    busy_until_s += plan.cost_s
-                    done_s = busy_until_s
+                done_s = self._charge(plan.session_id, now, plan.cost_s)
                 handoff_delta = session.handoffs - handoffs_before
                 if handoff_delta:
                     # Handoff latency: the first update of the batch
@@ -479,14 +489,13 @@ class LocalizationService:
             if staged:
                 with tracing.span("serve.fold", blocks=len(staged)):
                     fold_blocks(staged)
-            self._busy_until_s = busy_until_s
             self._applied += applied
             self._catchup_poses += catchup_total
         metrics.set_gauge("serve.queue_depth", float(self.queue_depth))
         metrics.set_gauge("serve.backlog_s", self.backlog_s)
         return StepReport(
             now_s=now,
-            busy_until_s=busy_until_s,
+            busy_until_s=self._busy_until_s,
             batches=len(plans),
             degraded_batches=degraded_batches,
             updates_applied=applied,
@@ -520,27 +529,8 @@ class LocalizationService:
         return out
 
     def latency_samples(self) -> Tuple[float, ...]:
-        """Raw applied-latency samples, in application order.
-
-        The shard merge layer concatenates these across workers and
-        recomputes percentiles from the pooled samples — which is how a
-        merged sharded report lands byte-identical to the unsharded
-        one rather than averaging per-shard percentiles.
-        """
+        """Raw applied-latency samples, in application order."""
         return tuple(self._latencies_s)
-
-    def recovery_latency_samples(self) -> Tuple[float, ...]:
-        """Raw recovery-latency samples, in recovery order."""
-        return tuple(self._recovery_latencies_s)
-
-    def handoff_latency_samples(self) -> Tuple[float, ...]:
-        """Raw handoff-latency samples, in handoff order.
-
-        Like :meth:`latency_samples`, pooled (not averaged) by the
-        shard merge layer so the merged mean is order-insensitive and
-        identical to the unsharded one.
-        """
-        return tuple(self._handoff_latencies_s)
 
     def final_ladder(
         self, session_id: str
@@ -564,35 +554,12 @@ class LocalizationService:
             full_batches=self._full_batches,
             degraded_batches=self._degraded_batches,
             catchup_poses=self._catchup_poses,
-            p50_latency_s=_percentile_s(self._latencies_s, 50.0),
-            p99_latency_s=_percentile_s(self._latencies_s, 99.0),
-            max_latency_s=(
-                max(self._latencies_s) if self._latencies_s else 0.0
-            ),
             busy_s=self._busy_until_s,
             updates_rejected=self._rejected,
             updates_lost=self._lost_in_kill,
             recoveries=self._recoveries,
-            mean_recovery_latency_s=(
-                float(np.mean(self._recovery_latencies_s))
-                if self._recovery_latencies_s
-                else 0.0
-            ),
             handoffs=self._handoffs,
-            # Sorted before the mean so the number is exactly
-            # permutation-invariant — the shard merge layer pools and
-            # sorts the same way, keeping merged == unsharded bitwise.
-            mean_handoff_latency_s=(
-                float(
-                    np.mean(
-                        np.sort(
-                            np.asarray(
-                                self._handoff_latencies_s, dtype=float
-                            )
-                        )
-                    )
-                )
-                if self._handoff_latencies_s
-                else 0.0
-            ),
+            latency_samples_s=tuple(sorted(self._latencies_s)),
+            recovery_samples_s=tuple(self._recovery_latencies_s),
+            handoff_samples_s=tuple(sorted(self._handoff_latencies_s)),
         )

@@ -11,9 +11,11 @@ trades estimate resolution now for zero accuracy loss at finalize.
 
 The :class:`SessionStore` bounds live sessions, evicts quiesced ones
 after a TTL, and (when given a :class:`repro.runtime.ResultCache`)
-checkpoints evicted state so a later submit transparently restores the
-session — the same content-addressed atomic-write cache the sweep
-engine uses for task payloads.
+checkpoints evicted or killed sessions so a later submit transparently
+restores them — the same content-addressed atomic-write cache the
+sweep engine uses for task payloads. A checkpoint is the pickled
+:class:`TagSession`; every checkpoint is read back by the run that
+wrote it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.serve.queueing import Admission, BoundedBuffer, PendingUpdate
 
 
 def _checkpoint_key(session_id: str) -> str:
-    """Content address of one session's checkpoint payload."""
+    """Content address of one session's checkpoint."""
     material = f"serve-session:{session_id}".encode("utf-8")
     return hashlib.sha256(material).hexdigest()
 
@@ -383,90 +385,17 @@ class TagSession:
 
     # -- checkpointing -----------------------------------------------------------
 
-    def checkpoint_payload(self) -> Dict[str, Any]:
-        """A picklable snapshot of everything but the pending queue.
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickled state: everything but the pending queue.
 
-        Only quiesced sessions (empty queue) are checkpointed, so the
-        queue is deliberately absent from the payload.
+        A checkpoint is the pickled session. Pending updates live only
+        in memory, so a checkpoint holds an empty queue: a kill loses
+        (and counts) them, and an eviction happens only when there are
+        none.
         """
-        return {
-            "session_id": self.session_id,
-            "opened_s": self.opened_s,
-            "last_seen_s": self.last_seen_s,
-            "full": self.full.to_payload(),
-            "degraded": self.degraded.to_payload(),
-            "lag": [(p.copy(), c.copy()) for p, c in self._lag],
-            "ladder": [tuple(entry) for entry in self.ladder],
-            "active_relay": self.active_relay,
-            "last_ingest_relay": self.last_ingest_relay,
-            "handoffs": self.handoffs,
-            "archive": {
-                relay: {
-                    "full": entry["full"].to_payload(),
-                    "degraded": entry["degraded"].to_payload(),
-                    "lag": [
-                        (p.copy(), c.copy()) for p, c in entry["lag"]
-                    ],
-                }
-                for relay, entry in self._archive.items()
-            },
-            "stats": {
-                "accepted": self.stats.accepted,
-                "shed": self.stats.shed,
-                "applied_full": self.stats.applied_full,
-                "applied_degraded": self.stats.applied_degraded,
-                "caught_up": self.stats.caught_up,
-            },
-        }
-
-    @classmethod
-    def from_payload(
-        cls, payload: Dict[str, Any], config: ServeConfig
-    ) -> "TagSession":
-        """Rebuild a session from :meth:`checkpoint_payload` output."""
-        full = IncrementalSar.from_payload(payload["full"])
-        session = cls(
-            payload["session_id"],
-            config,
-            full.grid,
-            opened_s=payload["opened_s"],
-        )
-        session.full = full
-        session.degraded = IncrementalSar.from_payload(payload["degraded"])
-        session.last_seen_s = float(payload["last_seen_s"])
-        session._lag = [
-            (np.asarray(p, dtype=float), np.asarray(c, dtype=complex))
-            for p, c in payload["lag"]
-        ]
-        session._lag_poses = sum(len(p) for p, _ in session._lag)
-        session.ladder = [
-            (int(applied), str(mode))
-            for applied, mode in payload.get("ladder", [])
-        ]
-        # Fleet keys are read with defaults so pre-fleet checkpoints
-        # (no handoff state) restore unchanged.
-        raw_relay = payload.get("active_relay")
-        session.active_relay = (
-            None if raw_relay is None else str(raw_relay)
-        )
-        raw_ingest = payload.get("last_ingest_relay")
-        session.last_ingest_relay = (
-            None if raw_ingest is None else str(raw_ingest)
-        )
-        session.handoffs = int(payload.get("handoffs", 0))
-        for relay, entry in payload.get("archive", {}).items():
-            lag = [
-                (np.asarray(p, dtype=float), np.asarray(c, dtype=complex))
-                for p, c in entry["lag"]
-            ]
-            session._archive[str(relay)] = {
-                "full": IncrementalSar.from_payload(entry["full"]),
-                "degraded": IncrementalSar.from_payload(entry["degraded"]),
-                "lag": lag,
-                "lag_poses": sum(len(p) for p, _ in lag),
-            }
-        session.stats = SessionStats(**payload["stats"])
-        return session
+        state = dict(self.__dict__)
+        state["pending"] = BoundedBuffer(self.config.queue_capacity)
+        return state
 
 
 class SessionStore:
@@ -551,9 +480,7 @@ class SessionStore:
         session = self.get(session_id)
         lost = len(session.pending)
         if self.cache is not None:
-            self.cache.store(
-                _checkpoint_key(session_id), session.checkpoint_payload()
-            )
+            self.cache.store(_checkpoint_key(session_id), session)
         del self._sessions[session_id]
         metrics.count("serve.sessions.killed")
         metrics.set_gauge("serve.sessions.active", len(self._sessions))
@@ -576,10 +503,7 @@ class SessionStore:
         for session_id in expired:
             session = self._sessions.pop(session_id)
             if self.cache is not None:
-                self.cache.store(
-                    _checkpoint_key(session_id),
-                    session.checkpoint_payload(),
-                )
+                self.cache.store(_checkpoint_key(session_id), session)
             metrics.count("serve.sessions.evicted")
         if expired:
             metrics.set_gauge("serve.sessions.active", len(self._sessions))
@@ -596,10 +520,9 @@ class SessionStore:
                 f"session limit reached ({self.config.max_sessions}); "
                 f"cannot restore {session_id!r}"
             )
-        hit, payload = self.cache.load(_checkpoint_key(session_id))
+        hit, session = self.cache.load(_checkpoint_key(session_id))
         if not hit:
             return None
-        session = TagSession.from_payload(payload, self.config)
         session.last_seen_s = max(session.last_seen_s, float(now_s))
         self._sessions[session_id] = session
         metrics.count("serve.sessions.restored")

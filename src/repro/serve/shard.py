@@ -1,7 +1,7 @@
 """Consistent-hash sharding of the serving layer.
 
-One :class:`~repro.serve.service.LocalizationService` is a single
-virtual server; this module partitions the tag-session population
+One :class:`~repro.serve.service.LocalizationService` is one serving
+worker; this module partitions the tag-session population
 across ``M`` independent service workers with a consistent-hash ring,
 so the serving layer scales horizontally while staying *bit-identical*
 to the unsharded service.
@@ -20,10 +20,11 @@ Three properties stack:
    (:func:`repro.localization.batched.fold_blocks`): an accumulator's
    bits never depend on which co-scheduled sessions were stacked into
    the same kernel call.
-3. **Sample-pooled report merging**: per-shard raw latency samples are
-   concatenated in shard order and percentiles recomputed from the
-   pool (``np.percentile`` sorts), so the merged report equals the
-   unsharded one instead of averaging per-shard percentiles.
+3. **Sample-pooled report merging**: every
+   :class:`~repro.serve.service.ServiceReport` carries its raw samples,
+   and the merge pools them and recomputes each summary from the pool,
+   so the merged report equals the unsharded one instead of averaging
+   per-shard percentiles.
 
 Hence ``run_sharded_workload`` with ``n_shards=M`` (serial or process
 backend) returns the same fixes, errors, ladder logs, and latency
@@ -65,11 +66,7 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.seeding import spawn_task_seeds
 from repro.serve.config import ServeConfig
 from repro.serve.queueing import Admission
-from repro.serve.service import (
-    LocalizationService,
-    ServiceReport,
-    _percentile_s,
-)
+from repro.serve.service import LocalizationService, ServiceReport
 from repro.serve.traffic import ServeRunReport, TrafficWorkload, replay
 
 #: Default virtual nodes per shard on the ring; enough that the
@@ -212,32 +209,17 @@ def _require_partitioned(config: ServeConfig) -> None:
         )
 
 
-def _pooled(samples: Sequence[Sequence[float]]) -> List[float]:
-    """Per-shard samples concatenated in shard order."""
-    return [sample for shard in samples for sample in shard]
-
-
-def merge_service_reports(
-    reports: Sequence[ServiceReport],
-    latencies_s: Sequence[Sequence[float]],
-    recoveries_s: Sequence[Sequence[float]],
-    handoffs_s: Sequence[Sequence[float]] = (),
-) -> ServiceReport:
+def merge_service_reports(reports: Sequence[ServiceReport]) -> ServiceReport:
     """Merge per-shard reports into one service-level report.
 
-    Counters add; percentiles recompute from the pooled raw samples
-    (bitwise what the unsharded service reports, since
-    ``np.percentile`` sorts); ``busy_s`` is the makespan — the shards
-    run concurrently, so the fleet is busy as long as its slowest
-    member. Handoff counts add and the mean handoff latency pools the
-    per-shard samples, so heterogeneous per-shard counters merge the
-    same whatever order the shards are listed in (a sum of samples is
-    permutation-invariant up to float association; the tests pin
-    order-insensitivity of the merged numbers).
+    Counters add; ``busy_s`` is the makespan — the shards run
+    concurrently, so the fleet is busy as long as its slowest member.
+    Samples pool: latency and handoff samples re-sort, so their
+    summaries are bitwise what the unsharded service reports whatever
+    order the shards are listed in (``np.percentile`` sorts anyway, and
+    a sorted sum has one association); recovery samples concatenate in
+    shard order.
     """
-    pooled = _pooled(latencies_s)
-    recoveries = _pooled(recoveries_s)
-    handoffs = _pooled(handoffs_s)
     return ServiceReport(
         updates_accepted=sum(r.updates_accepted for r in reports),
         updates_applied=sum(r.updates_applied for r in reports),
@@ -246,24 +228,19 @@ def merge_service_reports(
         full_batches=sum(r.full_batches for r in reports),
         degraded_batches=sum(r.degraded_batches for r in reports),
         catchup_poses=sum(r.catchup_poses for r in reports),
-        p50_latency_s=_percentile_s(pooled, 50.0),
-        p99_latency_s=_percentile_s(pooled, 99.0),
-        max_latency_s=max(pooled) if pooled else 0.0,
         busy_s=max((r.busy_s for r in reports), default=0.0),
         updates_rejected=sum(r.updates_rejected for r in reports),
         updates_lost=sum(r.updates_lost for r in reports),
         recoveries=sum(r.recoveries for r in reports),
-        mean_recovery_latency_s=(
-            float(np.mean(recoveries)) if recoveries else 0.0
-        ),
         handoffs=sum(r.handoffs for r in reports),
-        # Sorting canonicalizes the float summation order, so the
-        # merged mean is exactly permutation-invariant and matches the
-        # unsharded service (which sorts too).
-        mean_handoff_latency_s=(
-            float(np.mean(np.sort(np.asarray(handoffs, dtype=float))))
-            if handoffs
-            else 0.0
+        latency_samples_s=tuple(
+            sorted(s for r in reports for s in r.latency_samples_s)
+        ),
+        recovery_samples_s=tuple(
+            s for r in reports for s in r.recovery_samples_s
+        ),
+        handoff_samples_s=tuple(
+            sorted(s for r in reports for s in r.handoff_samples_s)
         ),
     )
 
@@ -367,12 +344,7 @@ class ShardedLocalizationService:
 
     def report(self) -> ServiceReport:
         """Merged (sample-pooled) service report across the fleet."""
-        return merge_service_reports(
-            [w.report() for w in self.workers],
-            [w.latency_samples() for w in self.workers],
-            [w.recovery_latency_samples() for w in self.workers],
-            [w.handoff_latency_samples() for w in self.workers],
-        )
+        return merge_service_reports([w.report() for w in self.workers])
 
 
 # -- whole-workload sharded replay -----------------------------------------------
@@ -512,16 +484,8 @@ def run_sharded_workload(
                 f"serve.shard.{payload.index}.applied",
                 float(report.service.updates_applied),
             )
-    latency_samples = [r.latency_samples_s for r in reports]
-    recovery_samples = [r.recovery_samples_s for r in reports]
-    handoff_samples = [r.handoff_samples_s for r in reports]
     return ShardedRunReport(
-        service=merge_service_reports(
-            [r.service for r in reports],
-            latency_samples,
-            recovery_samples,
-            handoff_samples,
-        ),
+        service=merge_service_reports([r.service for r in reports]),
         offered=len(workload.events),
         duration_s=workload.duration_s,
         estimates={k: v for r in reports for k, v in r.estimates.items()},
@@ -532,9 +496,6 @@ def run_sharded_workload(
         },
         failures={k: v for r in reports for k, v in r.failures.items()},
         unadmitted=sum(r.unadmitted for r in reports),
-        latency_samples_s=tuple(sorted(_pooled(latency_samples))),
-        recovery_samples_s=tuple(_pooled(recovery_samples)),
-        handoff_samples_s=tuple(_pooled(handoff_samples)),
         n_shards=shards.n_shards,
         assignment=assignment,
         per_shard=tuple(r.service for r in reports),

@@ -74,12 +74,6 @@ class ServeRunReport:
     session_loss: Dict[str, int]
     failures: Dict[str, str]
     unadmitted: int
-    #: Raw per-update latency samples, sorted (whole-run percentiles
-    #: pool these instead of averaging per-run percentiles).
-    latency_samples_s: Tuple[float, ...]
-    #: Recovery and handoff latency samples in the order they occurred.
-    recovery_samples_s: Tuple[float, ...]
-    handoff_samples_s: Tuple[float, ...]
 
     @property
     def throughput_per_s(self) -> float:
@@ -190,9 +184,6 @@ def replay(
         },
         failures=failures,
         unadmitted=unadmitted,
-        latency_samples_s=tuple(sorted(service.latency_samples())),
-        recovery_samples_s=service.recovery_latency_samples(),
-        handoff_samples_s=service.handoff_latency_samples(),
     )
 
 

@@ -25,8 +25,6 @@ import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Tuple, Union
 
-import numpy as np
-
 from repro import faults
 from repro.errors import ConfigurationError
 from repro.mobility.groundtruth import OptiTrack
@@ -191,7 +189,7 @@ def soak_epoch(
         recoveries=service.recoveries,
         injected=injected,
         busy_s=service.busy_s,
-        latency_samples_s=report.latency_samples_s,
+        latency_samples_s=service.latency_samples_s,
         error_samples_m=tuple(
             sorted(float(e) for e in report.errors_m.values())
         ),
@@ -240,8 +238,3 @@ def snapshots_from_payloads(
     else:
         items = list(payloads)
     return [SoakSnapshot.from_dict(item) for item in items]
-
-
-def epoch_axis_s(config: SoakConfig) -> "np.ndarray":
-    """Virtual start times of each snapshot interval."""
-    return np.arange(config.n_epochs, dtype=float) * config.snapshot_every_s

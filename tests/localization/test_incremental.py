@@ -154,40 +154,6 @@ def test_property_serial_equals_micro_batched(tag, n, resolution, split_seed):
     np.testing.assert_array_equal(hist_b[1], hist_s[1])
 
 
-class TestCheckpointRoundTrip:
-    def test_payload_round_trip_preserves_finalize(self):
-        scenario = heatmap_trial("los_aisle", seed=1)
-        inc = stream_scene(scenario)
-        clone = IncrementalSar.from_payload(inc.to_payload())
-        np.testing.assert_allclose(
-            clone.finalize().position, inc.finalize().position, atol=1e-9
-        )
-        assert clone.n_poses == inc.n_poses
-
-    def test_round_trip_keeps_streaming(self):
-        scenario = heatmap_trial("los_aisle", seed=2)
-        measurements = list(scenario.measurements)
-        half = len(measurements) // 2
-
-        inc = IncrementalSar(F, scenario.search_grid)
-        for m in measurements[:half]:
-            inc.update_measurement(m)
-        clone = IncrementalSar.from_payload(inc.to_payload())
-        for m in measurements[half:]:
-            inc.update_measurement(m)
-            clone.update_measurement(m)
-        np.testing.assert_allclose(
-            clone.finalize().position, inc.finalize().position, atol=1e-9
-        )
-
-    def test_mismatched_accumulator_shape_is_rejected(self):
-        inc = IncrementalSar(F, Grid2D(0.0, 1.0, 0.0, 1.0, 0.25))
-        payload = inc.to_payload()
-        payload["accumulator"] = np.zeros(3, dtype=complex)
-        with pytest.raises(LocalizationError):
-            IncrementalSar.from_payload(payload)
-
-
 class TestValidation:
     def make(self):
         return IncrementalSar(F, Grid2D(0.0, 3.0, 0.0, 3.0, 0.2))

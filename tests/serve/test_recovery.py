@@ -115,6 +115,22 @@ class TestIngestRetry:
             assert service.submit("a", m, now_s=0.0) is Admission.ACCEPTED
         assert service.backlog_s >= 0.5
 
+    @pytest.mark.parametrize("capacity_mode", ["shared", "partitioned"])
+    def test_injected_stall_delays_the_stalled_session(self, capacity_mode):
+        # The stall lands on the session's own virtual server, so its
+        # updates wait behind it in either capacity mode.
+        def p99_latency_s(plan):
+            service = make_service(capacity_mode=capacity_mode)
+            service.open_session("a", make_grid())
+            with faults.engaged(plan):
+                for index, m in enumerate(make_measurements(12)):
+                    service.submit("a", m, now_s=0.01 * index)
+                    service.step()
+            return service.report().p99_latency_s
+
+        stall = FaultPlan.single("serve.ingest", "stall", magnitude=0.05)
+        assert p99_latency_s(stall) > p99_latency_s(FaultPlan())
+
 
 class TestReferenceOutage:
     def test_undecodable_reference_rejected_within_window(self):

@@ -1,5 +1,8 @@
 """Tag sessions: dual accumulators, lag catch-up, TTL store, checkpoints."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -118,7 +121,11 @@ class TestTagSession:
         session = TagSession("s", config, make_grid(), opened_s=1.0)
         session.apply_batch(updates_along_line(4), degraded=True)
         session.apply_batch(updates_along_line(4, arrival_s=1.0), degraded=False)
-        clone = TagSession.from_payload(session.checkpoint_payload(), config)
+        session.offer(updates_along_line(1, arrival_s=2.0)[0], 2.0)
+        clone = pickle.loads(pickle.dumps(session))
+        # A checkpoint never holds pending updates.
+        assert len(clone.pending) == 0
+        assert len(session.pending) == 1
         assert clone.session_id == "s"
         assert clone.lag_poses == session.lag_poses
         assert clone.stats.applied_degraded == 4
@@ -197,6 +204,35 @@ class TestSessionStore:
         reference.apply_batch(batch, degraded=False)
         np.testing.assert_allclose(
             restored.position, reference.finalize().position, atol=1e-9
+        )
+
+    def test_round_trip_keeps_streaming(self, tmp_path):
+        # Killed with an archived relay segment, a lag and queued
+        # updates: the restored session streams on to the uninterrupted
+        # session's fix bit for bit, and only the queued updates are lost.
+        config = make_config(queue_capacity=8)
+        stream = updates_along_line(12)
+        relay_a = [dataclasses.replace(u, relay="a") for u in stream[:4]]
+        relay_b = [dataclasses.replace(u, relay="b") for u in stream[4:]]
+        store = SessionStore(config, ResultCache(tmp_path))
+        killed = store.open("s", make_grid())
+        reference = TagSession("s", config, make_grid())
+        for session in (killed, reference):
+            session.apply_batch(relay_a, degraded=True)
+            session.apply_batch(relay_b[:3], degraded=True)
+        for update in relay_b[3:6]:
+            killed.offer(update, 0.0)
+        assert killed.handoffs == 1
+        assert killed.lag_poses == 3
+        assert killed.total_lag_poses == 7
+
+        assert store.kill("s") == 3
+        restored = store.get_or_restore("s", 1.0)
+        assert len(restored.pending) == 0
+        for session in (restored, reference):
+            session.apply_batch(relay_b[6:], degraded=False)
+        np.testing.assert_array_equal(
+            restored.finalize().position, reference.finalize().position
         )
 
     def test_close_forgets_the_checkpoint(self, tmp_path):

@@ -5,9 +5,9 @@ the shard count past 8, so these tests pin the same properties at
 M=12..16 — every shard still owns keys, churn on removal stays ~1/M,
 and scale-out past ``shard-09`` keeps the two-digit id scheme distinct.
 The merge half pins :func:`repro.serve.shard.merge_service_reports`
-on *heterogeneous* per-shard handoff counters: shards see different
-handoff counts (many see none), and the merged report must not depend
-on the order the shards are listed in.
+on *heterogeneous* per-shard reports: shards see different handoff
+counts (many see none), and the merged report must not depend on the
+order the shards are listed in.
 """
 
 from __future__ import annotations
@@ -92,9 +92,6 @@ def _report(**overrides) -> ServiceReport:
         full_batches=3,
         degraded_batches=1,
         catchup_poses=2,
-        p50_latency_s=0.01,
-        p99_latency_s=0.02,
-        max_latency_s=0.03,
         busy_s=1.0,
     )
     base.update(overrides)
@@ -109,62 +106,62 @@ class TestHeterogeneousHandoffMerge:
         # Three shards with handoffs (different counts and latencies),
         # one with none — the common fleet shape, where only boundary
         # tags' shards ever hand off.
-        reports = [
-            _report(handoffs=3, mean_handoff_latency_s=0.2, busy_s=2.0),
-            _report(handoffs=1, mean_handoff_latency_s=0.5),
-            _report(handoffs=0),
-            _report(handoffs=2, mean_handoff_latency_s=0.1, busy_s=1.5),
+        return [
+            _report(
+                handoffs=3,
+                busy_s=2.0,
+                latency_samples_s=(0.01, 0.02),
+                handoff_samples_s=(0.15, 0.2, 0.25),
+            ),
+            _report(
+                handoffs=1,
+                recoveries=1,
+                latency_samples_s=(0.03,),
+                recovery_samples_s=(0.5,),
+                handoff_samples_s=(0.5,),
+            ),
+            _report(handoffs=0, latency_samples_s=(0.004,)),
+            _report(
+                handoffs=2,
+                busy_s=1.5,
+                latency_samples_s=(0.02, 0.05),
+                handoff_samples_s=(0.1, 0.1),
+            ),
         ]
-        latencies = [[0.01, 0.02], [0.03], [0.004], [0.02, 0.05]]
-        recoveries = [[], [0.5], [], []]
-        handoffs = [[0.2, 0.25, 0.15], [0.5], [], [0.1, 0.1]]
-        return reports, latencies, recoveries, handoffs
 
     def test_counters_add_and_samples_pool(self):
-        reports, latencies, recoveries, handoffs = self._shards()
-        merged = merge_service_reports(
-            reports, latencies, recoveries, handoffs
-        )
+        reports = self._shards()
+        merged = merge_service_reports(reports)
         assert merged.handoffs == 6
-        pooled = [s for samples in handoffs for s in samples]
+        assert merged.recoveries == 1
+        assert merged.updates_applied == 32
+        pooled = [s for r in reports for s in r.handoff_samples_s]
         assert merged.mean_handoff_latency_s == pytest.approx(
             float(np.mean(pooled))
         )
+        assert merged.latency_samples_s == (
+            0.004, 0.01, 0.02, 0.02, 0.03, 0.05
+        )
+        assert merged.max_latency_s == 0.05
+        assert merged.mean_recovery_latency_s == 0.5
         assert merged.busy_s == 2.0  # makespan, not a sum
 
     def test_merge_is_order_insensitive(self):
-        reports, latencies, recoveries, handoffs = self._shards()
-        baseline = merge_service_reports(
-            reports, latencies, recoveries, handoffs
-        )
+        reports = self._shards()
+        baseline = merge_service_reports(reports)
         for order in itertools.permutations(range(len(reports))):
-            permuted = merge_service_reports(
-                [reports[i] for i in order],
-                [latencies[i] for i in order],
-                [recoveries[i] for i in order],
-                [handoffs[i] for i in order],
-            )
+            permuted = merge_service_reports([reports[i] for i in order])
             # Bitwise identical, not approximately: the merge sorts
             # pooled samples before reducing, so float association
             # cannot leak shard order into the report.
             assert permuted == baseline
 
     def test_no_handoffs_anywhere_reports_zero(self):
-        reports = [_report(), _report()]
         merged = merge_service_reports(
-            reports, [[0.01], [0.02]], [[], []]
+            [
+                _report(latency_samples_s=(0.01,)),
+                _report(latency_samples_s=(0.02,)),
+            ]
         )
         assert merged.handoffs == 0
         assert merged.mean_handoff_latency_s == 0.0
-
-    def test_per_shard_means_do_not_feed_the_merge(self):
-        # A shard lying about its mean must not matter: the merge
-        # recomputes from raw samples only.
-        reports = [
-            _report(handoffs=1, mean_handoff_latency_s=999.0),
-            _report(handoffs=1, mean_handoff_latency_s=-999.0),
-        ]
-        merged = merge_service_reports(
-            reports, [[0.01], [0.01]], [[], []], [[0.2], [0.4]]
-        )
-        assert merged.mean_handoff_latency_s == pytest.approx(0.3)
