@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments.cli import EXPERIMENTS, main
+from repro.experiments.cli import main
 
-__all__ = ["EXPERIMENTS", "main"]
+__all__ = ["main"]
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -33,13 +33,11 @@ Observability (``repro.obs``) flags:
 from __future__ import annotations
 
 import argparse
-import json
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, RFlyError
 from repro.experiments import registry
 from repro.experiments.registry import ExperimentSpec
-from repro.experiments.runner import ExperimentOutput
 from repro.obs import (
     CProfileObserver,
     MetricsObserver,
@@ -49,14 +47,8 @@ from repro.obs import (
     wall_clock_s,
 )
 from repro.runtime import RuntimeConfig
-
-#: CLI alias -> registry spec, in registry order. Kept for backward
-#: compatibility with callers that imported the old per-figure table.
-EXPERIMENTS: Dict[str, ExperimentSpec] = {
-    spec.alias: spec for spec in registry.REGISTRY if spec.alias != spec.name
-}
-
-ALL_NAMES = tuple(spec.alias for spec in registry.REGISTRY)
+from repro.scenarios import registry as scenario_registry
+from repro.scenarios.cli import parse_set_overrides
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,24 +218,6 @@ def observers_from_args(args: argparse.Namespace) -> List[SweepObserver]:
     return observers
 
 
-def run_experiment(
-    name: str,
-    runtime: RuntimeConfig,
-    smoke: bool = False,
-    observers: Optional[Sequence[SweepObserver]] = None,
-    **overrides: Any,
-) -> List[ExperimentOutput]:
-    """Run one named experiment and return its rendered outputs.
-
-    Side-effect free — ``post_run`` hooks (e.g. the soak trend append)
-    only fire from :func:`main`, so the golden and observer suites can
-    call this freely.
-    """
-    return registry.run_experiment(
-        name, runtime=runtime, smoke=smoke, observers=observers, **overrides
-    ).outputs
-
-
 def knob_overrides(
     parser: argparse.ArgumentParser,
     spec: ExperimentSpec,
@@ -279,28 +253,6 @@ def knob_overrides(
     return overrides
 
 
-def parse_set_overrides(items: Sequence[str]) -> Dict[str, Any]:
-    """``KEY=VALUE`` tokens -> dotted-path override mapping.
-
-    Values are parsed as JSON (``8.0`` -> float, ``true`` -> bool,
-    ``[1,2]`` -> list) with a plain-string fallback, so unquoted names
-    like ``--set traffic.mix=dense`` keep working.
-    """
-    overrides: Dict[str, Any] = {}
-    for item in items:
-        key, sep, raw = item.partition("=")
-        if not sep or not key:
-            raise ConfigurationError(
-                f"--set expects KEY=VALUE, got {item!r}"
-            )
-        try:
-            value: Any = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        overrides[key] = value
-    return overrides
-
-
 def scenario_override(
     spec: ExperimentSpec,
     scenario: Optional[str],
@@ -325,8 +277,6 @@ def scenario_override(
     base = scenario if scenario is not None else spec.scenario
     if not set_items:
         return base
-    from repro.scenarios import registry as scenario_registry
-
     return scenario_registry.resolve(base).with_overrides(
         parse_set_overrides(set_items)
     )
@@ -359,7 +309,7 @@ def _resolve_names(
         return [], True
     if tokens and tokens[0] == "run":
         tokens = tokens[1:]
-    chosen = tokens or list(ALL_NAMES)
+    chosen = tokens or registry.aliases()
     for name in chosen:
         try:
             registry.get(name)

@@ -21,7 +21,7 @@ crossover pass (handoff-limited).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,12 +63,7 @@ def _with_policy(spec: Scenario, policy: str) -> Scenario:
     """The scenario with its fleet's selection policy swapped."""
     if spec.fleet is None or spec.fleet.selection == policy:
         return spec
-    return Scenario.from_dict(
-        {
-            **spec.to_dict(),
-            "fleet": {**spec.fleet.to_dict(), "selection": policy},
-        }
-    )
+    return replace(spec, fleet=replace(spec.fleet, selection=policy))
 
 
 def _replay(

@@ -375,7 +375,9 @@ def run_experiment(
 
     ``params = defaults`` overlaid with the spec's smoke overrides
     (when ``smoke``) and then any explicit keyword overrides; the same
-    mapping feeds both ``build_tasks`` and ``reduce``.
+    mapping feeds both ``build_tasks`` and ``reduce``. Side-effect
+    free: a spec's ``post_run`` hook (e.g. the soak trend append) fires
+    only from the CLI's ``main``, so the golden suites call this freely.
     """
     spec = get(name) if isinstance(name, str) else name
     params: Dict[str, Any] = dict(spec.defaults)

@@ -20,10 +20,10 @@ that plus the seeding discipline of :mod:`repro.faults.engine`.
 from __future__ import annotations
 
 import json
-from collections import abc
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro import codec
 from repro.errors import ConfigurationError
 
 #: Every injection site compiled into the package, with the actions its
@@ -51,29 +51,6 @@ TRIGGER_KINDS: Tuple[str, ...] = (
     "clock_window",
 )
 
-_MAPPING: Tuple[type, ...] = (abc.Mapping,)
-_NUMBER: Tuple[type, ...] = (int, float)
-
-
-def _checked(label: str, value: Any, kinds: Tuple[type, ...]) -> Any:
-    """``value`` if it is one of ``kinds`` (bools, which Python counts as
-    ints, excluded), else a :class:`ConfigurationError` naming ``label``.
-
-    Plans are decoded from scenario files and task parameters, so a
-    wrong type must fail here, typed, not deep inside a hook.
-    """
-    if isinstance(value, kinds) and not isinstance(value, bool):
-        return value
-    expected = " or ".join(kind.__name__ for kind in kinds)
-    raise ConfigurationError(
-        f"{label} must be {expected}, got {type(value).__name__}"
-    )
-
-
-def _optional(label: str, value: Any, kinds: Tuple[type, ...]) -> Any:
-    """:func:`_checked`, letting ``None`` (an absent field) through."""
-    return None if value is None else _checked(label, value, kinds)
-
 
 @dataclass(frozen=True)
 class Trigger:
@@ -99,6 +76,7 @@ class Trigger:
     stop: Optional[float] = None
 
     def __post_init__(self) -> None:
+        codec.coerce(self)
         if self.kind not in TRIGGER_KINDS:
             raise ConfigurationError(
                 f"unknown trigger kind {self.kind!r}; "
@@ -140,28 +118,6 @@ class Trigger:
         assert self.start is not None and self.stop is not None
         return now_s is not None and self.start <= now_s < self.stop
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready mapping (``None`` fields omitted)."""
-        out: Dict[str, Any] = {"kind": self.kind}
-        if self.n is not None:
-            out["n"] = int(self.n)
-        if self.start is not None:
-            out["start"] = self.start
-        if self.stop is not None:
-            out["stop"] = self.stop
-        return out
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "Trigger":
-        """Rebuild from :meth:`to_dict` output."""
-        data = _checked("fault trigger", data, _MAPPING)
-        return Trigger(
-            kind=str(data.get("kind", "always")),
-            n=_optional("trigger key 'n'", data.get("n"), (int,)),
-            start=_optional("trigger key 'start'", data.get("start"), _NUMBER),
-            stop=_optional("trigger key 'stop'", data.get("stop"), _NUMBER),
-        )
-
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -183,6 +139,7 @@ class FaultSpec:
     max_injections: Optional[int] = None
 
     def __post_init__(self) -> None:
+        codec.coerce(self)
         actions = SITE_ACTIONS.get(self.site)
         if actions is None:
             known = ", ".join(sorted(SITE_ACTIONS))
@@ -201,49 +158,6 @@ class FaultSpec:
         if self.max_injections is not None and self.max_injections < 0:
             raise ConfigurationError("max_injections must be >= 0")
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready mapping."""
-        out: Dict[str, Any] = {
-            "site": self.site,
-            "action": self.action,
-            "trigger": self.trigger.to_dict(),
-            "rate": self.rate,
-            "magnitude": self.magnitude,
-        }
-        if self.max_injections is not None:
-            out["max_injections"] = int(self.max_injections)
-        return out
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "FaultSpec":
-        """Rebuild from :meth:`to_dict` output."""
-        data = _checked("fault spec", data, _MAPPING)
-        missing = [key for key in ("site", "action") if key not in data]
-        if missing:
-            raise ConfigurationError(
-                f"fault spec is missing required key(s) {', '.join(missing)}"
-            )
-        return FaultSpec(
-            site=str(data["site"]),
-            action=str(data["action"]),
-            trigger=Trigger.from_dict(data.get("trigger", {})),
-            rate=float(
-                _checked("fault spec key 'rate'", data.get("rate", 1.0), _NUMBER)
-            ),
-            magnitude=float(
-                _checked(
-                    "fault spec key 'magnitude'",
-                    data.get("magnitude", 0.0),
-                    _NUMBER,
-                )
-            ),
-            max_injections=_optional(
-                "fault spec key 'max_injections'",
-                data.get("max_injections"),
-                (int,),
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -252,7 +166,7 @@ class FaultPlan:
     specs: Tuple[FaultSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "specs", tuple(self.specs))
+        codec.coerce(self)
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -292,17 +206,14 @@ class FaultPlan:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready mapping."""
-        return {"specs": [spec.to_dict() for spec in self.specs]}
+        """JSON-ready mapping (``None`` fields omitted)."""
+        return codec.to_dict(self)
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "FaultPlan":
-        """Rebuild from :meth:`to_dict` output."""
-        data = _checked("fault plan", data, _MAPPING)
-        specs = _checked(
-            "fault plan key 'specs'", data.get("specs", ()), (list, tuple)
-        )
-        return FaultPlan(tuple(FaultSpec.from_dict(item) for item in specs))
+        """Rebuild from :meth:`to_dict` output under the one decode
+        policy of :mod:`repro.codec`."""
+        return codec.from_dict(FaultPlan, data, "fault_plan")
 
     def to_json(self) -> str:
         """Compact, key-sorted JSON — canonical for task parameters."""
@@ -315,7 +226,7 @@ class FaultPlan:
         """Inverse of :meth:`to_json` (lossless, property-tested)."""
         try:
             data = json.loads(text)
-        except (ValueError, RecursionError) as error:
+        except (TypeError, ValueError, RecursionError) as error:
             raise ConfigurationError(
                 f"fault plan is not valid JSON: {error}"
             ) from error

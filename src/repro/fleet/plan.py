@@ -23,7 +23,7 @@ fleet's one relay does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Tuple
 
 import numpy as np
@@ -291,12 +291,4 @@ def scale_fleet(scenario: Scenario, fleet_size: int) -> Scenario:
         if scenario.fleet is not None
         else FleetSpec()
     )
-    return Scenario.from_dict(
-        {
-            **scenario.to_dict(),
-            "fleet": {
-                **fleet.to_dict(),
-                "relays": [relay.to_dict() for relay in relays],
-            },
-        }
-    )
+    return replace(scenario, fleet=replace(fleet, relays=tuple(relays)))

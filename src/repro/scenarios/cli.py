@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -65,15 +66,16 @@ def smoke_variant(scenario: Scenario) -> Scenario:
     coarse; everything else — world, radio, traffic mix, faults — is
     exercised unchanged.
     """
-    return scenario.with_overrides(
-        {
-            "trajectory.spacing_m": max(
-                scenario.trajectory.spacing_m, SMOKE_MIN_SPACING_M
-            ),
-            "grid.resolution_m": max(
-                scenario.grid.resolution_m, SMOKE_MIN_RESOLUTION_M
-            ),
-        }
+    return replace(
+        scenario,
+        trajectory=replace(
+            scenario.trajectory,
+            spacing_m=max(scenario.trajectory.spacing_m, SMOKE_MIN_SPACING_M),
+        ),
+        grid=replace(
+            scenario.grid,
+            resolution_m=max(scenario.grid.resolution_m, SMOKE_MIN_RESOLUTION_M),
+        ),
     )
 
 

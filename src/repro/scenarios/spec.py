@@ -9,7 +9,9 @@ picklable, hashable, and losslessly round-trippable through canonical
 JSON (:meth:`Scenario.to_json`) and TOML
 (:mod:`repro.scenarios.toml_codec`) — so a spec can ride inside a
 :class:`~repro.runtime.SweepTask`'s parameters and reach process-pool
-workers unchanged.
+workers unchanged. :mod:`repro.codec` maps every section to and from
+plain data by its field types; the classes here keep only their
+semantic checks.
 
 Parametric sub-specs carry a ``kind`` discriminator (``"fixed"`` vs
 ``"uniform_box"`` tag layouts, ``"line"`` vs ``"random_segment"``
@@ -24,9 +26,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Dict, Mapping, Optional, Tuple, Type, TypeVar
+from dataclasses import dataclass, field
+from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro import codec
 from repro.constants import RELAY_FREQUENCY_SHIFT_HZ, UHF_CENTER_FREQUENCY
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
@@ -52,63 +55,12 @@ SELECTION_KINDS: Tuple[str, ...] = (
     "epsilon_greedy",
 )
 
-_S = TypeVar("_S")
-
-#: What a malformed value raises inside a section decoder or a spec's
-#: checks (``float("a")``, ``len(5)``, ``"a" < 0``, ``int(inf)``, ...);
-#: the decode boundary re-raises them as ConfigurationError.
-_DECODE_ERRORS = (
-    TypeError,
-    ValueError,
-    AttributeError,
-    LookupError,
-    ArithmeticError,
-    RecursionError,
-)
-
-
-def _require_finite(label: str, value: float) -> float:
-    """Reject NaN/inf early — canonical JSON/TOML cannot carry them."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigurationError(f"{label} must be finite, got {value!r}")
-    return value
-
 
 def _check_kind(label: str, kind: str, choices: Tuple[str, ...]) -> None:
     if kind not in choices:
         raise ConfigurationError(
             f"unknown {label} kind {kind!r}; choices: {', '.join(choices)}"
         )
-
-
-def _filtered_kwargs(
-    cls: Type[Any], data: Mapping[str, Any]
-) -> Dict[str, Any]:
-    """Keyword arguments for ``cls`` present in ``data``, erroring on
-    unknown keys (typos in hand-written TOML should not pass silently)
-    and on missing required ones.
-    """
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigurationError(
-            f"{cls.__name__} does not understand key(s) "
-            f"{', '.join(unknown)}; choices: {', '.join(sorted(known))}"
-        )
-    missing = sorted(
-        f.name
-        for f in fields(cls)
-        if f.name not in data
-        and f.default is MISSING
-        and f.default_factory is MISSING
-    )
-    if missing:
-        raise ConfigurationError(
-            f"{cls.__name__} is missing required key(s) "
-            f"{', '.join(missing)}"
-        )
-    return {key: data[key] for key in data}
 
 
 @dataclass(frozen=True)
@@ -123,10 +75,7 @@ class WallSpec:
     name: str = ""
 
     def __post_init__(self) -> None:
-        for label in ("x0_m", "y0_m", "x1_m", "y1_m"):
-            object.__setattr__(
-                self, label, _require_finite(label, getattr(self, label))
-            )
+        codec.coerce(self)
         if self.material not in MATERIAL_NAMES:
             raise ConfigurationError(
                 f"unknown wall material {self.material!r}; "
@@ -136,22 +85,6 @@ class WallSpec:
             raise ConfigurationError(
                 f"wall {self.name or '<unnamed>'} has zero length"
             )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready mapping."""
-        return {
-            "x0_m": self.x0_m,
-            "y0_m": self.y0_m,
-            "x1_m": self.x1_m,
-            "y1_m": self.y1_m,
-            "material": self.material,
-            "name": self.name,
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "WallSpec":
-        """Rebuild from :meth:`to_dict` output."""
-        return WallSpec(**_filtered_kwargs(WallSpec, data))
 
 
 @dataclass(frozen=True)
@@ -172,16 +105,7 @@ class ClutterSpec:
     materials: Tuple[str, ...] = ("steel", "drywall", "steel")
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_obstacles", int(self.n_obstacles))
-        object.__setattr__(self, "materials", tuple(self.materials))
-        for label in (
-            "scatter_std_m",
-            "half_extent_min_m",
-            "half_extent_max_m",
-        ):
-            object.__setattr__(
-                self, label, _require_finite(label, getattr(self, label))
-            )
+        codec.coerce(self)
         if self.n_obstacles < 0:
             raise ConfigurationError("n_obstacles must be >= 0")
         if not self.materials:
@@ -199,24 +123,6 @@ class ClutterSpec:
         if self.scatter_std_m < 0.0:
             raise ConfigurationError("scatter_std_m must be >= 0")
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready mapping."""
-        return {
-            "n_obstacles": self.n_obstacles,
-            "scatter_std_m": self.scatter_std_m,
-            "half_extent_min_m": self.half_extent_min_m,
-            "half_extent_max_m": self.half_extent_max_m,
-            "materials": list(self.materials),
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "ClutterSpec":
-        """Rebuild from :meth:`to_dict` output."""
-        kwargs = _filtered_kwargs(ClutterSpec, data)
-        if "materials" in kwargs:
-            kwargs["materials"] = tuple(kwargs["materials"])
-        return ClutterSpec(**kwargs)
-
 
 @dataclass(frozen=True)
 class FloorplanSpec:
@@ -227,32 +133,9 @@ class FloorplanSpec:
     clutter: Optional[ClutterSpec] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "walls", tuple(self.walls))
-        object.__setattr__(self, "max_reflections", int(self.max_reflections))
+        codec.coerce(self)
         if self.max_reflections < 0:
             raise ConfigurationError("max_reflections must be >= 0")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready mapping (``clutter`` omitted when absent)."""
-        out: Dict[str, Any] = {
-            "walls": [wall.to_dict() for wall in self.walls],
-            "max_reflections": self.max_reflections,
-        }
-        if self.clutter is not None:
-            out["clutter"] = self.clutter.to_dict()
-        return out
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "FloorplanSpec":
-        """Rebuild from :meth:`to_dict` output."""
-        kwargs = _filtered_kwargs(FloorplanSpec, data)
-        if "walls" in kwargs:
-            kwargs["walls"] = tuple(
-                WallSpec.from_dict(item) for item in kwargs["walls"]
-            )
-        if kwargs.get("clutter") is not None:
-            kwargs["clutter"] = ClutterSpec.from_dict(kwargs["clutter"])
-        return FloorplanSpec(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -279,17 +162,8 @@ class ReaderSpec:
     clip_y_max_m: float = 0.0
 
     def __post_init__(self) -> None:
+        codec.coerce(self)
         _check_kind("reader", self.kind, READER_KINDS)
-        for spec_field in fields(self):
-            if spec_field.name == "kind":
-                continue
-            object.__setattr__(
-                self,
-                spec_field.name,
-                _require_finite(
-                    spec_field.name, getattr(self, spec_field.name)
-                ),
-            )
         if self.kind == "random_ring":
             if not 0.0 < self.distance_min_m <= self.distance_max_m:
                 raise ConfigurationError(
@@ -303,15 +177,6 @@ class ReaderSpec:
                 raise ConfigurationError(
                     "random_ring reader needs a non-empty clip rectangle"
                 )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready mapping."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "ReaderSpec":
-        """Rebuild from :meth:`to_dict` output."""
-        return ReaderSpec(**_filtered_kwargs(ReaderSpec, data))
 
 
 @dataclass(frozen=True)
@@ -350,17 +215,8 @@ class TrajectorySpec:
     speed_mps: float = 0.5
 
     def __post_init__(self) -> None:
+        codec.coerce(self)
         _check_kind("trajectory", self.kind, TRAJECTORY_KINDS)
-        for spec_field in fields(self):
-            if spec_field.name == "kind":
-                continue
-            object.__setattr__(
-                self,
-                spec_field.name,
-                _require_finite(
-                    spec_field.name, getattr(self, spec_field.name)
-                ),
-            )
         if self.spacing_m <= 0.0:
             raise ConfigurationError("spacing_m must be > 0")
         if self.speed_mps <= 0.0:
@@ -380,15 +236,6 @@ class TrajectorySpec:
                 raise ConfigurationError(
                     "random_segment needs 0 < length_min_m <= length_max_m"
                 )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready mapping."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "TrajectorySpec":
-        """Rebuild from :meth:`to_dict` output."""
-        return TrajectorySpec(**_filtered_kwargs(TrajectorySpec, data))
 
 
 @dataclass(frozen=True)
@@ -421,29 +268,8 @@ class TagLayoutSpec:
     along_fraction_max: float = 1.0
 
     def __post_init__(self) -> None:
+        codec.coerce(self)
         _check_kind("tag layout", self.kind, TAG_KINDS)
-        object.__setattr__(self, "n_tags", int(self.n_tags))
-        object.__setattr__(
-            self,
-            "positions_m",
-            tuple(
-                (
-                    _require_finite("positions_m.x", pos[0]),
-                    _require_finite("positions_m.y", pos[1]),
-                )
-                for pos in self.positions_m
-            ),
-        )
-        for spec_field in fields(self):
-            if spec_field.name in ("kind", "n_tags", "positions_m"):
-                continue
-            object.__setattr__(
-                self,
-                spec_field.name,
-                _require_finite(
-                    spec_field.name, getattr(self, spec_field.name)
-                ),
-            )
         if self.n_tags < 1:
             raise ConfigurationError("n_tags must be >= 1")
         if self.kind == "fixed":
@@ -473,23 +299,6 @@ class TagLayoutSpec:
                     "0 <= along_fraction_min <= along_fraction_max <= 1"
                 )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready mapping."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["positions_m"] = [list(pos) for pos in self.positions_m]
-        return out
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "TagLayoutSpec":
-        """Rebuild from :meth:`to_dict` output."""
-        kwargs = _filtered_kwargs(TagLayoutSpec, data)
-        if "positions_m" in kwargs:
-            kwargs["positions_m"] = tuple(
-                (float(pos[0]), float(pos[1]))
-                for pos in kwargs["positions_m"]
-            )
-        return TagLayoutSpec(**kwargs)
-
 
 @dataclass(frozen=True)
 class RadioSpec:
@@ -517,17 +326,8 @@ class RadioSpec:
     rssi_mismatch_std_db: float = 0.0
 
     def __post_init__(self) -> None:
+        codec.coerce(self)
         _check_kind("snr", self.snr_kind, SNR_KINDS)
-        for spec_field in fields(self):
-            if spec_field.name == "snr_kind":
-                continue
-            object.__setattr__(
-                self,
-                spec_field.name,
-                _require_finite(
-                    spec_field.name, getattr(self, spec_field.name)
-                ),
-            )
         if self.center_frequency_hz <= 0.0:
             raise ConfigurationError("center_frequency_hz must be > 0")
         if not 0.0 < self.band_low_hz <= self.band_high_hz:
@@ -538,15 +338,6 @@ class RadioSpec:
             raise ConfigurationError("snr_min_db must be <= snr_max_db")
         if self.rssi_mismatch_std_db < 0.0:
             raise ConfigurationError("rssi_mismatch_std_db must be >= 0")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready mapping."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "RadioSpec":
-        """Rebuild from :meth:`to_dict` output."""
-        return RadioSpec(**_filtered_kwargs(RadioSpec, data))
 
 
 @dataclass(frozen=True)
@@ -559,26 +350,13 @@ class TrafficSpec:
     latency_slo_s: float = 0.25
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "use_gen2_mac", bool(self.use_gen2_mac))
-        for label in ("load", "powering_range_m", "latency_slo_s"):
-            object.__setattr__(
-                self, label, _require_finite(label, getattr(self, label))
-            )
+        codec.coerce(self)
         if self.load <= 0.0:
             raise ConfigurationError("load must be > 0")
         if self.powering_range_m <= 0.0:
             raise ConfigurationError("powering_range_m must be > 0")
         if self.latency_slo_s <= 0.0:
             raise ConfigurationError("latency_slo_s must be > 0")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready mapping."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "TrafficSpec":
-        """Rebuild from :meth:`to_dict` output."""
-        return TrafficSpec(**_filtered_kwargs(TrafficSpec, data))
 
 
 @dataclass(frozen=True)
@@ -605,17 +383,8 @@ class GridSpec:
     resolution_m: float = 0.10
 
     def __post_init__(self) -> None:
+        codec.coerce(self)
         _check_kind("grid", self.kind, GRID_KINDS)
-        for spec_field in fields(self):
-            if spec_field.name == "kind":
-                continue
-            object.__setattr__(
-                self,
-                spec_field.name,
-                _require_finite(
-                    spec_field.name, getattr(self, spec_field.name)
-                ),
-            )
         if self.resolution_m <= 0.0:
             raise ConfigurationError("resolution_m must be > 0")
         if self.kind == "fixed":
@@ -628,15 +397,6 @@ class GridSpec:
                 raise ConfigurationError("tag_side grid needs margin_m > 0")
             if self.side_sign not in (-1.0, 1.0):
                 raise ConfigurationError("side_sign must be -1 or +1")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready mapping."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "GridSpec":
-        """Rebuild from :meth:`to_dict` output."""
-        return GridSpec(**_filtered_kwargs(GridSpec, data))
 
 
 @dataclass(frozen=True)
@@ -659,6 +419,7 @@ class RelaySpec:
     gain_db: Optional[float] = None
 
     def __post_init__(self) -> None:
+        codec.coerce(self)
         if self.name and not all(
             ch.isalnum() or ch in "_-" for ch in self.name
         ):
@@ -666,38 +427,11 @@ class RelaySpec:
                 f"relay name {self.name!r} must be alphanumeric/_/- "
                 "(it keys session segments and TOML table paths)"
             )
-        for label in ("shift_hz", "gain_db"):
-            value = getattr(self, label)
-            if value is not None:
-                object.__setattr__(
-                    self, label, _require_finite(label, value)
-                )
         if self.shift_hz is not None and self.shift_hz <= 0.0:
             raise ConfigurationError(
                 "relay shift_hz must be > 0 (the tag-side carrier must "
                 "clear the reader's channel)"
             )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready mapping (``None`` fields omitted — TOML-safe)."""
-        out: Dict[str, Any] = {"name": self.name}
-        if self.trajectory is not None:
-            out["trajectory"] = self.trajectory.to_dict()
-        if self.shift_hz is not None:
-            out["shift_hz"] = self.shift_hz
-        if self.gain_db is not None:
-            out["gain_db"] = self.gain_db
-        return out
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "RelaySpec":
-        """Rebuild from :meth:`to_dict` output."""
-        kwargs = _filtered_kwargs(RelaySpec, data)
-        if kwargs.get("trajectory") is not None:
-            kwargs["trajectory"] = TrajectorySpec.from_dict(
-                kwargs["trajectory"]
-            )
-        return RelaySpec(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -720,12 +454,8 @@ class FleetSpec:
     guard_hz: float = 200e3
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "relays", tuple(self.relays))
+        codec.coerce(self)
         _check_kind("selection", self.selection, SELECTION_KINDS)
-        for label in ("epsilon", "learning_rate", "guard_hz"):
-            object.__setattr__(
-                self, label, _require_finite(label, getattr(self, label))
-            )
         if not self.relays:
             raise ConfigurationError("fleet needs at least one relay")
         resolved = [
@@ -749,26 +479,6 @@ class FleetSpec:
             relay.name or f"relay-{index:02d}"
             for index, relay in enumerate(self.relays)
         )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready mapping."""
-        return {
-            "relays": [relay.to_dict() for relay in self.relays],
-            "selection": self.selection,
-            "epsilon": self.epsilon,
-            "learning_rate": self.learning_rate,
-            "guard_hz": self.guard_hz,
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "FleetSpec":
-        """Rebuild from :meth:`to_dict` output."""
-        kwargs = _filtered_kwargs(FleetSpec, data)
-        if "relays" in kwargs:
-            kwargs["relays"] = tuple(
-                RelaySpec.from_dict(item) for item in kwargs["relays"]
-            )
-        return FleetSpec(**kwargs)
 
 
 #: A fixed tag closer than this to a line flight lies on it: the relay
@@ -837,24 +547,9 @@ class Scenario:
                     )
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready mapping (``fleet``/``fault_plan`` omitted when
-        absent — pre-fleet specs keep their canonical form)."""
-        out: Dict[str, Any] = {
-            "name": self.name,
-            "description": self.description,
-            "floorplan": self.floorplan.to_dict(),
-            "reader": self.reader.to_dict(),
-            "trajectory": self.trajectory.to_dict(),
-            "tags": self.tags.to_dict(),
-            "radio": self.radio.to_dict(),
-            "traffic": self.traffic.to_dict(),
-            "grid": self.grid.to_dict(),
-        }
-        if self.fleet is not None:
-            out["fleet"] = self.fleet.to_dict()
-        if self.fault_plan is not None:
-            out["fault_plan"] = self.fault_plan.to_dict()
-        return out
+        """JSON-ready mapping (``None`` fields omitted, so a spec without
+        a fleet or fault plan keeps its pre-fleet canonical form)."""
+        return codec.to_dict(self)
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "Scenario":
@@ -862,41 +557,11 @@ class Scenario:
         their defaults, so hand-written specs can stay sparse).
 
         This is the decode boundary: a malformed spec raises
-        :class:`~repro.errors.ConfigurationError` naming its section,
-        never an untyped error.
+        :class:`~repro.errors.ConfigurationError` naming the dotted
+        path of the bad value (``scenario.traffic.load``), under the one
+        policy of :mod:`repro.codec`.
         """
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"a scenario must be a table, got {type(data).__name__}"
-            )
-        converters: Dict[str, Any] = {
-            "floorplan": FloorplanSpec.from_dict,
-            "reader": ReaderSpec.from_dict,
-            "trajectory": TrajectorySpec.from_dict,
-            "tags": TagLayoutSpec.from_dict,
-            "radio": RadioSpec.from_dict,
-            "traffic": TrafficSpec.from_dict,
-            "grid": GridSpec.from_dict,
-            "fleet": FleetSpec.from_dict,
-            "fault_plan": FaultPlan.from_dict,
-        }
-        where = "scenario"
-        try:
-            kwargs = _filtered_kwargs(Scenario, data)
-            for key, converter in converters.items():
-                section = kwargs.get(key)
-                if isinstance(section, Mapping):
-                    where = f"scenario section {key!r}"
-                    kwargs[key] = converter(section)
-                elif section is not None:
-                    raise ConfigurationError(
-                        f"scenario section {key!r} must be a table, "
-                        f"got {type(section).__name__}"
-                    )
-            where = "scenario"
-            return Scenario(**kwargs)
-        except _DECODE_ERRORS as error:
-            raise ConfigurationError(f"{where}: {error}") from error
+        return codec.from_dict(Scenario, data, "scenario")
 
     def to_json(self) -> str:
         """Compact, key-sorted JSON — the canonical wire form."""
@@ -909,7 +574,7 @@ class Scenario:
         """Inverse of :meth:`to_json` (lossless, property-tested)."""
         try:
             data = json.loads(text)
-        except _DECODE_ERRORS as error:
+        except (TypeError, ValueError, RecursionError) as error:
             raise ConfigurationError(f"scenario JSON: {error}") from error
         return Scenario.from_dict(data)
 

@@ -25,7 +25,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Tuple, Union
 
-from repro import faults
+from repro import codec, faults
 from repro.errors import ConfigurationError
 from repro.mobility.groundtruth import OptiTrack
 from repro.obs import tracing
@@ -173,7 +173,7 @@ def soak_epoch(
                 )
             injected = len(engine.injections) + report.injected
     service = report.service
-    return SoakSnapshot(
+    snapshot = SoakSnapshot(
         epoch=int(epoch),
         start_s=float(epoch) * float(interval_s),
         interval_s=float(interval_s),
@@ -193,7 +193,8 @@ def soak_epoch(
         error_samples_m=tuple(
             sorted(float(e) for e in report.errors_m.values())
         ),
-    ).to_dict()
+    )
+    return codec.to_dict(snapshot)
 
 
 def build_epoch_tasks(config: SoakConfig) -> List[SweepTask]:
@@ -237,4 +238,6 @@ def snapshots_from_payloads(
         items: List[Any] = [payloads[key] for key in sorted(payloads)]
     else:
         items = list(payloads)
-    return [SoakSnapshot.from_dict(item) for item in items]
+    return [
+        codec.from_dict(SoakSnapshot, item, "soak_snapshot") for item in items
+    ]

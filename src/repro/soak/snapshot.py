@@ -18,10 +18,11 @@ scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro import codec
 from repro.errors import ConfigurationError
 
 
@@ -57,70 +58,14 @@ class SoakSnapshot:
     error_samples_m: Tuple[float, ...]
 
     def __post_init__(self) -> None:
+        codec.coerce(self)
         for field_name in ("latency_samples_s", "error_samples_m"):
-            samples = tuple(
-                float(sample) for sample in getattr(self, field_name)
-            )
+            samples = getattr(self, field_name)
             if any(
                 samples[i] > samples[i + 1]
                 for i in range(len(samples) - 1)
             ):
-                samples = tuple(sorted(samples))
-            object.__setattr__(self, field_name, samples)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON/pickle-friendly payload (the sweep task's return value)."""
-        return {
-            "epoch": self.epoch,
-            "start_s": self.start_s,
-            "interval_s": self.interval_s,
-            "sessions": self.sessions,
-            "fixes": self.fixes,
-            "offered": self.offered,
-            "applied": self.applied,
-            "degraded": self.degraded,
-            "shed": self.shed,
-            "rejected": self.rejected,
-            "lost": self.lost,
-            "handoffs": self.handoffs,
-            "recoveries": self.recoveries,
-            "injected": self.injected,
-            "busy_s": self.busy_s,
-            "latency_samples_s": list(self.latency_samples_s),
-            "error_samples_m": list(self.error_samples_m),
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "SoakSnapshot":
-        """Inverse of :meth:`to_dict` (lossless)."""
-        try:
-            return SoakSnapshot(
-                epoch=int(data["epoch"]),
-                start_s=float(data["start_s"]),
-                interval_s=float(data["interval_s"]),
-                sessions=int(data["sessions"]),
-                fixes=int(data["fixes"]),
-                offered=int(data["offered"]),
-                applied=int(data["applied"]),
-                degraded=int(data["degraded"]),
-                shed=int(data["shed"]),
-                rejected=int(data["rejected"]),
-                lost=int(data["lost"]),
-                handoffs=int(data["handoffs"]),
-                recoveries=int(data["recoveries"]),
-                injected=int(data["injected"]),
-                busy_s=float(data["busy_s"]),
-                latency_samples_s=tuple(
-                    float(v) for v in data["latency_samples_s"]
-                ),
-                error_samples_m=tuple(
-                    float(v) for v in data["error_samples_m"]
-                ),
-            )
-        except KeyError as error:
-            raise ConfigurationError(
-                f"soak snapshot payload is missing field {error}"
-            ) from error
+                object.__setattr__(self, field_name, tuple(sorted(samples)))
 
 
 @dataclass(frozen=True)

@@ -17,18 +17,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.cli import ALL_NAMES, run_experiment
+from repro.experiments import registry
 from repro.runtime import RuntimeConfig
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def _render(name: str) -> str:
-    outputs = run_experiment(name, RuntimeConfig(), smoke=True)
+    outputs = registry.run_experiment(name, RuntimeConfig(), smoke=True).outputs
     return "\n\n".join(output.report() for output in outputs) + "\n"
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
+@pytest.mark.parametrize("name", registry.aliases())
 def test_golden_table(name, pytestconfig):
     text = _render(name)
     path = GOLDEN_DIR / f"{name}.txt"
@@ -49,6 +49,8 @@ def test_golden_table(name, pytestconfig):
 
 def test_golden_dir_has_all_tables():
     missing = [
-        name for name in ALL_NAMES if not (GOLDEN_DIR / f"{name}.txt").exists()
+        name
+        for name in registry.aliases()
+        if not (GOLDEN_DIR / f"{name}.txt").exists()
     ]
     assert not missing, f"golden files missing for: {missing}"

@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import registry
-from repro.experiments.cli import parse_set_overrides, scenario_override
+from repro.experiments.cli import main, scenario_override
 from repro.experiments.registry import ExperimentSpec
 from repro.experiments.runner import ExperimentOutput
 from repro.scenarios.spec import Scenario
@@ -38,26 +38,38 @@ def _spec_stub(captured: Dict[str, Any], **kwargs: Any) -> ExperimentSpec:
 
 
 class TestParseSetOverrides:
+    """``--set`` items reach the experiment's scenario typed.
+
+    The parser itself is pinned in ``tests/scenarios/test_cli.py``; these
+    send the same items through ``scenario_override``, which the strict
+    decode rejects unless each value arrives with its field's type.
+    """
+
     def test_values_parse_as_json(self):
-        parsed = parse_set_overrides(
-            ["traffic.load=8.0", "traffic.use_gen2_mac=true"]
+        result = scenario_override(
+            registry.get("serve"),
+            None,
+            ["traffic.load=8.0", "traffic.use_gen2_mac=false"],
         )
-        assert parsed == {"traffic.load": 8.0, "traffic.use_gen2_mac": True}
+        assert result.traffic.load == 8.0
+        assert result.traffic.use_gen2_mac is False
 
     def test_exponent_literals_are_numbers(self):
-        assert parse_set_overrides(["radio.center_frequency_hz=920e6"]) == {
-            "radio.center_frequency_hz": 920e6
-        }
+        result = scenario_override(
+            registry.get("serve"), None, ["radio.center_frequency_hz=920e6"]
+        )
+        assert result.radio.center_frequency_hz == 920e6
 
     def test_unquoted_names_fall_back_to_strings(self):
-        assert parse_set_overrides(["description=cold aisle"]) == {
-            "description": "cold aisle"
-        }
+        result = scenario_override(
+            registry.get("serve"), None, ["description=cold aisle"]
+        )
+        assert result.description == "cold aisle"
 
     @pytest.mark.parametrize("item", ["traffic.load", "=1.0"])
     def test_malformed_items_rejected(self, item):
         with pytest.raises(ConfigurationError):
-            parse_set_overrides([item])
+            scenario_override(registry.get("serve"), None, [item])
 
 
 class TestScenarioOverride:
@@ -138,3 +150,17 @@ class TestRunExperimentPrecedence:
         for spec in registry.REGISTRY:
             if spec.scenario:
                 assert spec.scenario in shipped, spec.alias
+
+
+@pytest.mark.parametrize(
+    "item, dotted",
+    [
+        ("traffic.use_gen2_mac=False", "scenario.traffic.use_gen2_mac"),
+        ("traffic=null", "scenario.traffic"),
+    ],
+)
+def test_run_rejects_a_set_value_its_field_cannot_take(item, dotted, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "serve", "--smoke", "--set", item])
+    assert exit_info.value.code == 2
+    assert f"error: {dotted}:" in capsys.readouterr().err

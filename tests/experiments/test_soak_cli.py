@@ -5,7 +5,7 @@ Pins the wiring the CI job depends on: ``--hours``/``--snapshot-every``/
 they don't apply to), ``main`` appends exactly one trend entry per
 distinct run via the spec's ``post_run`` hook, ``--no-trend`` and
 ``--trend-file`` are honored, and the side-effect-free
-``cli.run_experiment`` path the golden suite uses never touches the
+``registry.run_experiment`` path the golden suite uses never touches the
 trend file.
 """
 

@@ -117,7 +117,7 @@ class TestFaultPlan:
         ("text", "named"),
         [
             ("", "not valid JSON"),
-            ("[]", "fault plan must be"),
+            ("[]", "fault_plan: expected a table"),
             ("[" * 100_000, "not valid JSON"),
         ],
     )

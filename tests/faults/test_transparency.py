@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro import faults
-from repro.experiments.cli import ALL_NAMES, run_experiment
+from repro.experiments import registry
 from repro.faults import SITE_ACTIONS, FaultPlan
 from repro.runtime import RuntimeConfig
 
@@ -26,10 +26,12 @@ def test_empty_plan_watches_no_site():
             assert not faults.watching(site)
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
+@pytest.mark.parametrize("name", registry.aliases())
 def test_empty_plan_reproduces_golden_table(name):
     with faults.engaged(FaultPlan(), seed=0):
-        outputs = run_experiment(name, RuntimeConfig(), smoke=True)
+        outputs = registry.run_experiment(
+            name, RuntimeConfig(), smoke=True
+        ).outputs
         text = "\n\n".join(output.report() for output in outputs) + "\n"
     expected = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
     assert text == expected

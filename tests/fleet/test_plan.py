@@ -9,6 +9,8 @@ sweep's segment geometry exactly (half-overlap, reuse-2, and — at
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -72,15 +74,8 @@ class TestRealizeFleet:
 
     def test_only_declared_fleets_are_band_checked(self):
         # A 30 MHz relay shift lands outside the declared band.
-        plain = Scenario.from_dict(
-            {
-                **base_scenario().to_dict(),
-                "radio": {
-                    **base_scenario().radio.to_dict(),
-                    "relay_shift_hz": 30e6,
-                },
-            }
-        )
+        base = base_scenario()
+        plain = replace(base, radio=replace(base.radio, relay_shift_hz=30e6))
         world = realize_world(plain, np.random.default_rng(0))
         plan = realize_fleet(plain, world, 0)
         assert plan.names() == ("relay-00",)

@@ -4,6 +4,7 @@ generator rule that only a real choice consults a policy."""
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.fleet.selection import (
 )
 from repro.scenarios import registry
 from repro.scenarios.compiler import generate_workload
-from repro.scenarios.spec import FleetSpec, RelaySpec, Scenario
+from repro.scenarios.spec import FleetSpec, RelaySpec
 
 
 def candidate(index, distance, budget):
@@ -133,14 +134,8 @@ class TestGeneratorConsultsPolicy:
     @staticmethod
     def _greedy(n_relays):
         spec = scale_fleet(registry.get("conveyor_flow_through"), n_relays)
-        return Scenario.from_dict(
-            {
-                **spec.to_dict(),
-                "fleet": {
-                    **spec.fleet.to_dict(),
-                    "selection": "epsilon_greedy",
-                },
-            }
+        return replace(
+            spec, fleet=replace(spec.fleet, selection="epsilon_greedy")
         )
 
     def test_select_sees_at_least_two_candidates(self, monkeypatch):

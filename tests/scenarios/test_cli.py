@@ -17,11 +17,16 @@ from repro.scenarios.spec import Scenario
 
 
 class TestParseSetOverrides:
+    """The one ``--set`` parser; the experiments CLI imports it too."""
+
     def test_json_values(self):
         parsed = parse_set_overrides(
             ["traffic.load=8.0", "traffic.use_gen2_mac=false"]
         )
         assert parsed == {"traffic.load": 8.0, "traffic.use_gen2_mac": False}
+        assert parse_set_overrides(
+            ["traffic.use_gen2_mac=true", "tags.positions_m=[[1,2]]"]
+        ) == {"traffic.use_gen2_mac": True, "tags.positions_m": [[1, 2]]}
 
     def test_exponent_form_is_numeric(self):
         assert parse_set_overrides(["radio.center_frequency_hz=920e6"]) == {
@@ -30,11 +35,28 @@ class TestParseSetOverrides:
 
     def test_plain_string_fallback(self):
         assert parse_set_overrides(["name=my_world"]) == {"name": "my_world"}
+        assert parse_set_overrides(["description=cold aisle"]) == {
+            "description": "cold aisle"
+        }
 
     @pytest.mark.parametrize("item", ["traffic.load", "=8.0"])
     def test_malformed_item_rejected(self, item):
         with pytest.raises(ConfigurationError):
             parse_set_overrides([item])
+
+
+@pytest.mark.parametrize(
+    "item, dotted",
+    [
+        ("traffic.use_gen2_mac=False", "scenario.traffic.use_gen2_mac"),
+        ("traffic=null", "scenario.traffic"),
+    ],
+)
+def test_run_rejects_a_set_value_its_field_cannot_take(item, dotted, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "rf_bench", "--smoke", "--set", item])
+    assert exit_info.value.code == 2
+    assert f"error: {dotted}:" in capsys.readouterr().err
 
 
 class TestSmokeVariant:

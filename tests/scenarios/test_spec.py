@@ -179,14 +179,19 @@ class TestMalformedFaultPlan:
 
     CASES = {
         "spec_without_site": ({"specs": [{}]}, "site"),
-        "specs_not_a_list": ({"specs": 5}, "'specs'"),
-        "spec_not_a_table": ({"specs": [5]}, "fault spec must be"),
-        "rate_not_a_number": ({"specs": [_drop_spec(rate="often")]}, "'rate'"),
+        "specs_not_a_list": ({"specs": 5}, r"fault_plan\.specs: expected an array"),
+        "spec_not_a_table": (
+            {"specs": [5]}, r"fault_plan\.specs\[0\]: expected a table"
+        ),
+        "rate_not_a_number": (
+            {"specs": [_drop_spec(rate="often")]},
+            r"fault_plan\.specs\[0\]\.rate: expected a number",
+        ),
         "trigger_n_not_an_int": (
             {"specs": [_drop_spec(trigger={"kind": "nth_call", "n": "3"})]},
-            "'n'",
+            r"specs\[0\]\.trigger\.n: expected an integer",
         ),
-        "plan_not_a_table": (5, "'fault_plan'"),
+        "plan_not_a_table": (5, r"scenario\.fault_plan: expected a table"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -5,7 +5,8 @@ leans on: :func:`summarize_snapshots` is order-insensitive (any
 permutation of the same snapshots folds to a bitwise-identical
 summary — what makes the trend file independent of sweep backend and
 scheduling), and the snapshot payload round-trips losslessly through
-``to_dict``/``from_dict`` (what rides the process-pool boundary).
+``codec.to_dict``/``codec.from_dict`` (what rides the process-pool
+boundary).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import codec
 from repro.errors import ConfigurationError
 from repro.soak.snapshot import SoakSnapshot, summarize_snapshots
 
@@ -66,7 +68,8 @@ def test_summary_is_order_insensitive(run, data):
 @settings(max_examples=50)
 def test_snapshot_round_trips_losslessly(run):
     for snapshot in run:
-        assert SoakSnapshot.from_dict(snapshot.to_dict()) == snapshot
+        payload = codec.to_dict(snapshot)
+        assert codec.from_dict(SoakSnapshot, payload, "soak_snapshot") == snapshot
 
 
 @given(snapshot=snapshots(epoch=0))
@@ -110,7 +113,7 @@ def test_duplicate_epochs_are_rejected():
 
 
 def test_missing_payload_field_is_loud():
-    payload = SoakSnapshot(
+    snapshot = SoakSnapshot(
         epoch=0,
         start_s=0.0,
         interval_s=600.0,
@@ -128,10 +131,11 @@ def test_missing_payload_field_is_loud():
         busy_s=1.0,
         latency_samples_s=(),
         error_samples_m=(),
-    ).to_dict()
+    )
+    payload = codec.to_dict(snapshot)
     del payload["busy_s"]
     with pytest.raises(ConfigurationError, match="busy_s"):
-        SoakSnapshot.from_dict(payload)
+        codec.from_dict(SoakSnapshot, payload, "soak_snapshot")
 
 
 def test_summary_numbers_are_the_pooled_population():

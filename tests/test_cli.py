@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, main
+from repro.__main__ import main
 from repro.errors import GeometryError
 from repro.experiments import registry
 
@@ -12,7 +12,7 @@ from repro.experiments import registry
 def test_list_prints_all_experiments(capsys):
     assert main(["--list"]) == 0
     out = capsys.readouterr().out.split()
-    for name in EXPERIMENTS:
+    for name in registry.aliases():
         assert name in out
     assert "ablations" in out
 
