@@ -11,7 +11,6 @@ from typing import Mapping, Tuple
 DEFAULT_ALLOWED_UNSUFFIXED: Tuple[str, ...] = (
     "sample_rate",  # conventionally Hz throughout the package
     "blf",  # backscatter link frequency, Hz by Gen2 definition
-    "hamming_distance",  # a bit count, not a physical distance
 )
 
 #: Per-path rule suppressions applied after ``select``/``ignore``.

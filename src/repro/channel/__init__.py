@@ -18,7 +18,6 @@ from repro.channel.geometry import (
     segments_cross,
 )
 from repro.channel.pathloss import (
-    free_space_gain_db,
     free_space_path_loss_db,
     free_space_range_for_loss,
     log_distance_path_loss_db,
@@ -26,17 +25,14 @@ from repro.channel.pathloss import (
 from repro.channel.multipath import (
     Ray,
     one_way_channel,
-    round_trip_channel,
     trace_rays,
 )
 from repro.channel.environment import Environment, Material
-from repro.channel.antenna import DipoleAntenna, IsotropicAntenna, PatchAntenna
 from repro.channel.interference import (
     co_channel,
     co_channel_groups,
     co_channel_penalty_db,
 )
-from repro.channel.link import Link, LinkBudget
 
 __all__ = [
     "Point",
@@ -46,21 +42,14 @@ __all__ = [
     "segment_intersection",
     "segments_cross",
     "free_space_path_loss_db",
-    "free_space_gain_db",
     "free_space_range_for_loss",
     "log_distance_path_loss_db",
     "Ray",
     "trace_rays",
     "one_way_channel",
-    "round_trip_channel",
     "Environment",
     "Material",
     "co_channel",
     "co_channel_groups",
     "co_channel_penalty_db",
-    "IsotropicAntenna",
-    "DipoleAntenna",
-    "PatchAntenna",
-    "Link",
-    "LinkBudget",
 ]

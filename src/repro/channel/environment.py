@@ -1,10 +1,10 @@
 """Simulated indoor environments.
 
 An :class:`Environment` owns the wall set and answers channel queries
-between arbitrary points. Factory methods build the settings the paper
-evaluates in: an open line-of-sight corridor, a non-line-of-sight
-configuration behind walls, and a warehouse aisle flanked by highly
-reflective steel shelving (the Fig. 6(b) scenario).
+between arbitrary points. The evaluation worlds (line of sight, behind
+walls, steel-shelved aisles) are built from scenario floorplans
+(:func:`repro.scenarios.compiler.build_environment`); the factories
+here are open space and the paper's two-floor building.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import List, Sequence, Tuple
 from repro import faults
 from repro.channel.geometry import Wall, as_point, segments_cross
 from repro.channel.multipath import Ray, WallSet, one_way_channel
-from repro.errors import GeometryError
 
 
 @dataclass(frozen=True)
@@ -108,49 +107,6 @@ class Environment:
     def free_space() -> "Environment":
         """No walls at all: pure line-of-sight."""
         return Environment([])
-
-    @staticmethod
-    def corridor(length_m: float = 60.0, width_m: float = 3.0) -> "Environment":
-        """A long corridor with mildly reflective side walls."""
-        if length_m <= 0 or width_m <= 0:
-            raise GeometryError("corridor dimensions must be positive")
-        env = Environment(max_reflections=1)
-        env.add_wall((0.0, 0.0), (length_m, 0.0), DRYWALL, "south")
-        env.add_wall((0.0, width_m), (length_m, width_m), DRYWALL, "north")
-        return env
-
-    @staticmethod
-    def through_wall(
-        wall_x: float = 10.0,
-        extent_m: float = 60.0,
-        material: Material = CONCRETE,
-    ) -> "Environment":
-        """A single cross wall: the non-line-of-sight setting of Fig. 11."""
-        env = Environment(max_reflections=1)
-        env.add_wall(
-            (wall_x, -extent_m / 2), (wall_x, extent_m / 2), material, "cross-wall"
-        )
-        return env
-
-    @staticmethod
-    def warehouse_aisle(
-        aisle_length_m: float = 10.0, aisle_width_m: float = 2.5
-    ) -> "Environment":
-        """Steel shelves flanking an aisle: heavy multipath (Fig. 6(b))."""
-        env = Environment(max_reflections=2)
-        env.add_wall(
-            (0.0, -aisle_width_m / 2),
-            (aisle_length_m, -aisle_width_m / 2),
-            STEEL,
-            "shelf-south",
-        )
-        env.add_wall(
-            (0.0, aisle_width_m / 2),
-            (aisle_length_m, aisle_width_m / 2),
-            STEEL,
-            "shelf-north",
-        )
-        return env
 
     @staticmethod
     def two_floor_building(

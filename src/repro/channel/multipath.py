@@ -326,14 +326,3 @@ def one_way_channel(rays: Sequence[Ray], frequency_hz: float) -> complex:
         phase = -2.0 * np.pi * frequency_hz * ray.length / SPEED_OF_LIGHT
         h += amplitude * np.exp(1j * phase)
     return complex(h)
-
-
-def round_trip_channel(rays: Sequence[Ray], frequency_hz: float) -> complex:
-    """Round-trip channel over a reciprocal link: the one-way square.
-
-    Expanding the square reproduces the double sum of paper Eq. 8: every
-    forward path i pairs with every return path j, with total length
-    ``d_i + d_j`` — for the direct path this is the familiar 2d.
-    """
-    h = one_way_channel(rays, frequency_hz)
-    return complex(h * h)

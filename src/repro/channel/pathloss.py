@@ -32,11 +32,6 @@ def free_space_path_loss_db(distance_m: float, frequency_hz: float) -> float:
     return float(20.0 * np.log10(4.0 * np.pi * distance_m / wavelength))
 
 
-def free_space_gain_db(distance_m: float, frequency_hz: float) -> float:
-    """Negative of the path loss: the channel power gain in dB."""
-    return -free_space_path_loss_db(distance_m, frequency_hz)
-
-
 def free_space_amplitude(distance_m: float, frequency_hz: float) -> float:
     """Linear amplitude gain ``lambda / (4 pi d)`` of a free-space path."""
     _validate(distance_m, frequency_hz)

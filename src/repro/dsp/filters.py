@@ -64,14 +64,6 @@ class Filter:
             return float("inf")
         return float(-20.0 * np.log10(magnitude))
 
-    def group_delay_seconds(self, baseband_frequency_hz: float = 0.0) -> float:
-        """Group delay near a frequency, in seconds."""
-        b, a = sps.sos2tf(self._sos)
-        w = 2.0 * np.pi * abs(baseband_frequency_hz) / self.sample_rate
-        worn = np.array([max(w, 1e-6)])
-        _, gd = sps.group_delay((b, a), w=worn)
-        return float(gd[0] / self.sample_rate)
-
 
 class LowPassFilter(Filter):
     """Butterworth low-pass filter on a complex envelope.

@@ -57,11 +57,6 @@ class Oscillator:
         if self.phase_jitter_std_rad > 0 and self.rng is None:
             raise ConfigurationError("an rng is required when phase jitter is enabled")
 
-    @property
-    def actual_frequency_hz(self) -> float:
-        """The frequency the oscillator actually produces."""
-        return self.nominal_frequency_hz + self.cfo_hz
-
     def phase_at(self, times: np.ndarray) -> np.ndarray:
         """Instantaneous phase (radians) at the given absolute times.
 

@@ -149,11 +149,6 @@ class Signal:
         total[: len(other.samples)] += other.samples
         return self.with_samples(total)
 
-    def concatenated(self, other: "Signal") -> "Signal":
-        """Append ``other`` immediately after this signal in time."""
-        self._check_compatible(other)
-        return self.with_samples(np.concatenate([self.samples, other.samples]))
-
     # -- constructors ----------------------------------------------------------
 
     @staticmethod

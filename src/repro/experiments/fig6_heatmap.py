@@ -26,6 +26,7 @@ from repro.localization import (
     select_nearest_to_trajectory,
 )
 from repro.localization.grid import Heatmap
+from repro.localization.multires import PEAK_RELATIVE_THRESHOLD
 from repro.runtime import SweepTask
 from repro.scenarios import registry as scenario_registry
 from repro.scenarios.spec import Scenario
@@ -84,7 +85,7 @@ def _compute(
     )
     # Verify the §5.2 insight on this heatmap: every other significant
     # peak lies farther from the trajectory than the selected one.
-    peaks = find_peaks(multi_map, relative_threshold=0.7)
+    peaks = find_peaks(multi_map, relative_threshold=PEAK_RELATIVE_THRESHOLD)
     chosen = select_nearest_to_trajectory(peaks, positions_m)
     others = [
         p for p in peaks if not np.allclose(p.position, chosen.position)

@@ -25,7 +25,7 @@ relay's name, which is what drives session handoff in
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from repro.channel.interference import (
     co_channel_penalty_db,
 )
 from repro.channel.pathloss import free_space_path_loss_db
-from repro.errors import ConfigurationError
 from repro.fleet.plan import FleetPlan, RelayPlan, realize_fleet, resolve_fleet
 from repro.fleet.selection import RelayCandidate, build_policy
 from repro.hardware.tag import PassiveTag
@@ -71,6 +70,12 @@ def _link_budget_db(
     )
 
 
+def _edited(section: Any, **changes: Any) -> Any:
+    """Spec ``section`` with every non-``None`` change applied (its checks rerun)."""
+    changes = {name: value for name, value in changes.items() if value is not None}
+    return dataclasses.replace(section, **changes) if changes else section
+
+
 def generate_fleet_workload(
     scenario: Union[str, Scenario],
     n_tags: Optional[int] = None,
@@ -86,23 +91,33 @@ def generate_fleet_workload(
     """Lower a scenario to a replayable, relay-tagged read stream.
 
     The body of :func:`repro.scenarios.compiler.generate_workload`,
-    knob for knob. All randomness comes from ``seed``.
+    knob for knob. Each explicit knob is applied as an edit of its spec
+    section, so the section's own checks refuse a bad value (a NaN
+    ``load`` raises :class:`~repro.errors.ConfigurationError` naming
+    ``load``); an explicit ``snr_db`` fixes the SNR everywhere. All
+    randomness comes from ``seed``.
     """
     spec = registry.resolve(scenario)
-    resolved_load = spec.traffic.load if load is None else float(load)
-    if resolved_load <= 0:
-        raise ConfigurationError("load factor must be positive")
-    spacing = (
-        spec.trajectory.spacing_m
-        if pose_spacing_m is None
-        else float(pose_spacing_m)
+    spec = dataclasses.replace(
+        spec,
+        trajectory=_edited(spec.trajectory, spacing_m=pose_spacing_m),
+        radio=_edited(
+            spec.radio,
+            snr_kind=None if snr_db is None else "fixed",
+            snr_db=snr_db,
+        ),
+        traffic=_edited(
+            spec.traffic,
+            load=load,
+            use_gen2_mac=use_gen2_mac,
+            powering_range_m=powering_range_m,
+        ),
+        grid=_edited(spec.grid, resolution_m=grid_resolution),
     )
-    mac = spec.traffic.use_gen2_mac if use_gen2_mac is None else use_gen2_mac
-    powering = (
-        spec.traffic.powering_range_m
-        if powering_range_m is None
-        else float(powering_range_m)
-    )
+    resolved_load = spec.traffic.load
+    spacing = spec.trajectory.spacing_m
+    mac = spec.traffic.use_gen2_mac
+    powering = spec.traffic.powering_range_m
 
     # Base draw stream: world realization first, tag generators second,
     # then the per-pose MAC/noise draws.
@@ -127,7 +142,7 @@ def generate_fleet_workload(
         if tracker is not None:
             samples = tracker.observe_trajectory(samples)
         relay_samples.append(samples)
-    snr = resolve_snr_db(spec, world) if snr_db is None else float(snr_db)
+    snr = resolve_snr_db(spec, world)
     tags = [
         PassiveTag(
             epc=index + 1,
@@ -154,7 +169,6 @@ def generate_fleet_workload(
                 for samples in relay_samples
             ]
         ),
-        resolution_m=grid_resolution,
     )
     policy = build_policy(resolve_fleet(spec), seed)
     names = plan.names()

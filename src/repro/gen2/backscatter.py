@@ -56,11 +56,6 @@ class TagParams:
         if self.miller_m not in (1, 2, 4, 8):
             raise ConfigurationError(f"Miller M must be 1, 2, 4 or 8, got {self.miller_m}")
 
-    @property
-    def symbol_period(self) -> float:
-        """Duration of one data symbol, seconds."""
-        return self.miller_m / self.blf
-
 
 def _halves_to_signal(
     halves: Sequence[int],

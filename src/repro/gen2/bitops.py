@@ -36,16 +36,3 @@ def bits_to_int(bits: Sequence[int]) -> int:
     for b in validate_bits(bits):
         value = (value << 1) | b
     return value
-
-
-def bits_to_str(bits: Sequence[int]) -> str:
-    """Render bits as a '0101...' string (debugging aid)."""
-    return "".join(str(b) for b in validate_bits(bits))
-
-
-def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
-    """Number of differing positions between two equal-length bit vectors."""
-    a, b = validate_bits(a), validate_bits(b)
-    if len(a) != len(b):
-        raise EncodingError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(x != y for x, y in zip(a, b))

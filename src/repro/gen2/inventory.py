@@ -85,21 +85,6 @@ class InventoryRound:
     commands_sent: int = 0
     final_q: int = 0
 
-    @property
-    def successes(self) -> int:
-        """Number of successful (singulation) slots."""
-        return sum(1 for s in self.slots if s.outcome == SlotOutcome.SUCCESS)
-
-    @property
-    def collisions(self) -> int:
-        """Number of collision slots."""
-        return sum(1 for s in self.slots if s.outcome == SlotOutcome.COLLISION)
-
-    @property
-    def idles(self) -> int:
-        """Number of idle slots."""
-        return sum(1 for s in self.slots if s.outcome == SlotOutcome.IDLE)
-
 
 def _broadcast(
     tags: Sequence[Gen2Tag],

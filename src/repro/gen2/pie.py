@@ -239,9 +239,3 @@ class PIEDecoder:
         if not bits:
             raise EncodingError("command carried no data bits")
         return bits, had_preamble, trcal
-
-    def blf_from_trcal(self, trcal: float, dr: float = DR_64_OVER_3) -> float:
-        """Backscatter link frequency implied by a measured TRcal."""
-        if trcal <= 0:
-            raise EncodingError("TRcal must be positive to derive a BLF")
-        return dr / trcal

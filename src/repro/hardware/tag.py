@@ -31,7 +31,7 @@ from repro.constants import (
 )
 from repro.dsp.signal import Signal
 from repro.dsp.units import db_to_linear
-from repro.errors import ConfigurationError, TagNotPoweredError
+from repro.errors import ConfigurationError
 from repro.gen2.bitops import bits_from_int, validate_bits
 from repro.gen2.tag_state import Gen2Tag
 
@@ -108,21 +108,6 @@ class PassiveTag:
     def backscatter_gain_db(self) -> float:
         """Power "gain" of the reflection: negative (a loss)."""
         return -self.modulation_loss_db
-
-    def backscattered_power_dbm(self, incident_power_dbm: float) -> float:
-        """Reflected power for a given incident power.
-
-        Raises
-        ------
-        TagNotPoweredError
-            When the incident power is below the chip sensitivity.
-        """
-        if incident_power_dbm < self.sensitivity_dbm:
-            raise TagNotPoweredError(
-                f"incident {incident_power_dbm:.1f} dBm below sensitivity "
-                f"{self.sensitivity_dbm:.1f} dBm"
-            )
-        return incident_power_dbm - self.modulation_loss_db
 
     def modulate(self, carrier: Signal, reflection_waveform: Signal) -> Signal:
         """Impose an ON-OFF reflection waveform on an incident carrier.

@@ -39,7 +39,7 @@ from repro.localization.incremental import (
     canonical_batch,
     unit_weights,
 )
-from repro.localization.sar import _MAX_CHUNK_ELEMENTS
+from repro.localization.sar import DEFAULT_CHUNK_NODES, _MAX_CHUNK_ELEMENTS
 from repro.obs import metrics
 
 
@@ -128,7 +128,7 @@ def _fold_group(
     chunk = max(
         1,
         min(
-            reference.chunk_nodes,
+            DEFAULT_CHUNK_NODES,
             _MAX_CHUNK_ELEMENTS // max(1, slab_rows),
         ),
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -25,6 +26,9 @@ class Grid2D:
     resolution: float
 
     def __post_init__(self) -> None:
+        bounds = (self.x_min, self.x_max, self.y_min, self.y_max, self.resolution)
+        if not all(math.isfinite(value) for value in bounds):
+            raise LocalizationError(f"grid fields must be finite, got {bounds}")
         if self.x_min >= self.x_max or self.y_min >= self.y_max:
             raise LocalizationError("grid extents must be positive")
         if self.resolution <= 0:
@@ -111,12 +115,3 @@ class Heatmap:
         """Coordinates of the highest node (Eq. 11 without §5.2's rule)."""
         row, col = np.unravel_index(int(np.argmax(self.values)), self.values.shape)
         return np.array([self.grid.xs[col], self.grid.ys[row]])
-
-    def value_at(self, position) -> float:
-        """Nearest-node heatmap value at arbitrary coordinates."""
-        x, y = float(position[0]), float(position[1])
-        col = int(np.clip(round((x - self.grid.x_min) / self.grid.resolution),
-                          0, len(self.grid.xs) - 1))
-        row = int(np.clip(round((y - self.grid.y_min) / self.grid.resolution),
-                          0, len(self.grid.ys) - 1))
-        return float(self.values[row, col])

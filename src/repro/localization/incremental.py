@@ -35,9 +35,12 @@ from repro.errors import InsufficientMeasurementsError, LocalizationError
 from repro.localization.grid import Grid2D, Heatmap
 from repro.localization.measurement import ThroughRelayMeasurement
 from repro.localization.disentangle import disentangle
-from repro.localization.multires import refine
-from repro.localization.pipeline import LocalizationResult
-from repro.localization.sar import DEFAULT_CHUNK_NODES, SarGeometry, _validate
+from repro.localization.multires import (
+    LocalizationResult,
+    check_fine_resolution,
+    refine,
+)
+from repro.localization.sar import SarGeometry, _validate, check_frequency_hz
 from repro.obs import metrics
 
 
@@ -109,42 +112,16 @@ class IncrementalSar:
         Matched-filter frequency (the reader's f, as in the pipeline).
     grid:
         Coarse search grid; each update projects onto every node once.
-    chunk_nodes:
-        Node-chunking knob shared with :class:`SarGeometry` — purely a
-        memory bound, never a result change.
-    fine_resolution, fine_span:
-        Parameters of the :func:`multires_locate`-equivalent fine stage
-        run by :meth:`finalize`.
-    relative_threshold, use_nearest_peak_rule:
-        Peak-selection parameters, matching the batch pipeline.
+        :meth:`finalize` refines it at the batch ``Localizer``'s default
+        fine resolution with the §5.2 rule, so the grid must be at
+        least that coarse.
     """
 
-    def __init__(
-        self,
-        frequency_hz: float,
-        grid: Grid2D,
-        chunk_nodes: int = DEFAULT_CHUNK_NODES,
-        fine_resolution: float = SAR_DEFAULT_GRID_RESOLUTION_M,
-        fine_span: float = 1.0,
-        relative_threshold: float = 0.7,
-        use_nearest_peak_rule: bool = True,
-    ) -> None:
-        if frequency_hz <= 0:
-            raise LocalizationError("frequency must be positive")
-        if fine_resolution <= 0 or fine_span <= 0:
-            raise LocalizationError("fine stage parameters must be positive")
-        if fine_resolution > grid.resolution:
-            raise LocalizationError(
-                "fine resolution must refine the coarse grid "
-                f"({fine_resolution} > {grid.resolution})"
-            )
+    def __init__(self, frequency_hz: float, grid: Grid2D) -> None:
+        check_frequency_hz(frequency_hz)
+        check_fine_resolution(SAR_DEFAULT_GRID_RESOLUTION_M, grid.resolution)
         self.frequency_hz = float(frequency_hz)
         self.grid = grid
-        self.chunk_nodes = int(chunk_nodes)
-        self.fine_resolution = float(fine_resolution)
-        self.fine_span = float(fine_span)
-        self.relative_threshold = float(relative_threshold)
-        self.use_nearest_peak_rule = bool(use_nearest_peak_rule)
         gx, gy = grid.meshgrid()
         self._nodes = np.column_stack([gx.ravel(), gy.ravel()])
         self._accumulator = np.zeros(grid.n_points, dtype=complex)
@@ -230,12 +207,7 @@ class IncrementalSar:
             return 0
         weights = unit_weights(channels)
         k_factor = self.k_factor
-        geometry = SarGeometry(
-            positions,
-            self._nodes,
-            chunk_nodes=self.chunk_nodes,
-            store_distances=False,
-        )
+        geometry = SarGeometry(positions, self._nodes, store_distances=False)
         for node_slice, distances_m in geometry.iter_chunks():
             phases = np.exp(1j * (k_factor * distances_m))
             phases *= weights[:, None]
@@ -347,20 +319,10 @@ def finalize_segments(
         np.concatenate([channels for _, channels in histories]),
         first.frequency_hz,
     )
-    result = refine(
+    return refine(
         combined_coarse(populated),
         histories,
         first.frequency_hz,
-        fine_resolution=first.fine_resolution,
-        fine_span=first.fine_span,
-        relative_threshold=first.relative_threshold,
-        use_nearest_peak_rule=first.use_nearest_peak_rule,
-    )
-    return LocalizationResult(
-        position=result.position,
-        coarse_heatmap=result.coarse_heatmap,
-        fine_heatmap=result.fine_heatmap,
-        peak_distance_to_trajectory_m=(
-            result.selected_peak.distance_to_trajectory_m
-        ),
+        fine_resolution=SAR_DEFAULT_GRID_RESOLUTION_M,
+        use_nearest_peak_rule=True,
     )

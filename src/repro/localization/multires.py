@@ -9,7 +9,9 @@ refines only around it.
 :func:`refine` is that second half on its own: given any coarse map, it
 picks the peak and builds the fine map. The batch search below and the
 streaming finalize of :mod:`repro.localization.incremental` both end
-there, so the two cannot pick peaks or refine differently.
+there, so the two cannot pick peaks or refine differently; the rule's
+fixed parameters (:data:`FINE_SPAN_M`, :data:`PEAK_RELATIVE_THRESHOLD`)
+live here once, and both paths return :class:`LocalizationResult`.
 """
 
 from __future__ import annotations
@@ -19,25 +21,49 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.constants import SAR_DEFAULT_GRID_RESOLUTION_M
 from repro.errors import LocalizationError
 from repro.localization.grid import Grid2D, Heatmap
 from repro.obs import tracing
-from repro.localization.peaks import (
-    Peak,
-    find_peaks,
-    select_nearest_to_trajectory,
-)
+from repro.localization.peaks import find_peaks, select_nearest_to_trajectory
 from repro.localization.sar import SarGeometry, sar_heatmap
 
 
+#: Side (m) of the square fine window centered on the selected peak.
+FINE_SPAN_M = 1.0
+
+#: Fraction of the coarse map's maximum a local maximum must reach to
+#: be a candidate of the §5.2 peak rule.
+PEAK_RELATIVE_THRESHOLD = 0.7
+
+
 @dataclass(frozen=True)
-class MultiresResult:
-    """Output of the coarse-to-fine search."""
+class LocalizationResult:
+    """A tag location estimate plus the evidence behind it."""
 
     position: np.ndarray
     coarse_heatmap: Heatmap
     fine_heatmap: Heatmap
-    selected_peak: Peak
+    peak_distance_to_trajectory_m: float
+
+    def error_to(self, true_position) -> float:
+        """Euclidean error against a ground-truth location."""
+        return float(
+            np.linalg.norm(self.position - np.asarray(true_position, dtype=float))
+        )
+
+
+def check_fine_resolution(fine_resolution: float, coarse_resolution: float) -> None:
+    """Refuse a fine stage that is not positive or does not refine the coarse grid."""
+    if not fine_resolution > 0:
+        raise LocalizationError(
+            f"fine resolution must be positive, got {fine_resolution}"
+        )
+    if fine_resolution > coarse_resolution:
+        raise LocalizationError(
+            "fine resolution must refine the coarse grid "
+            f"({fine_resolution} > {coarse_resolution})"
+        )
 
 
 def multires_locate(
@@ -45,12 +71,10 @@ def multires_locate(
     channels: np.ndarray,
     search_grid: Grid2D,
     frequency_hz: float,
-    fine_resolution: float = 0.02,
-    fine_span: float = 1.0,
-    relative_threshold: float = 0.7,
+    fine_resolution: float = SAR_DEFAULT_GRID_RESOLUTION_M,
     use_nearest_peak_rule: bool = True,
     coarse_geometry: Optional[SarGeometry] = None,
-) -> MultiresResult:
+) -> LocalizationResult:
     """Locate a tag with a coarse sweep plus a fine refinement.
 
     Parameters
@@ -60,8 +84,9 @@ def multires_locate(
         :func:`repro.localization.disentangle.disentangle_series`).
     search_grid:
         Coarse grid covering the candidate area.
-    fine_resolution, fine_span:
-        Inner-stage resolution and window around the selected peak.
+    fine_resolution:
+        Inner-stage resolution in the :data:`FINE_SPAN_M` window around
+        the selected peak.
     use_nearest_peak_rule:
         True applies §5.2's nearest-to-trajectory selection; False takes
         the global maximum (the ablation of the multipath rule).
@@ -71,13 +96,7 @@ def multires_locate(
         trajectory and grid), reusable across matched-filter
         frequencies and the RSSI baseline.
     """
-    if fine_resolution <= 0 or fine_span <= 0:
-        raise LocalizationError("fine stage parameters must be positive")
-    if fine_resolution > search_grid.resolution:
-        raise LocalizationError(
-            "fine resolution must refine the coarse grid "
-            f"({fine_resolution} > {search_grid.resolution})"
-        )
+    check_fine_resolution(fine_resolution, search_grid.resolution)
     with tracing.span("localize.coarse", points=search_grid.n_points):
         coarse = sar_heatmap(
             positions, channels, search_grid, frequency_hz, geometry=coarse_geometry
@@ -87,8 +106,6 @@ def multires_locate(
         [(positions, channels)],
         frequency_hz,
         fine_resolution=fine_resolution,
-        fine_span=fine_span,
-        relative_threshold=relative_threshold,
         use_nearest_peak_rule=use_nearest_peak_rule,
     )
 
@@ -98,10 +115,8 @@ def refine(
     segments: Sequence[Tuple[np.ndarray, np.ndarray]],
     frequency_hz: float,
     fine_resolution: float,
-    fine_span: float,
-    relative_threshold: float,
     use_nearest_peak_rule: bool,
-) -> MultiresResult:
+) -> LocalizationResult:
     """Select the §5.2 peak on ``coarse`` and refine the map around it.
 
     ``segments`` holds one ``(positions, channels)`` series per coherent
@@ -117,14 +132,14 @@ def refine(
     """
     trajectory = np.concatenate([positions for positions, _ in segments])
     with tracing.span("localize.peaks"):
-        peaks = find_peaks(coarse, relative_threshold=relative_threshold)
+        peaks = find_peaks(coarse, relative_threshold=PEAK_RELATIVE_THRESHOLD)
         if use_nearest_peak_rule:
             chosen = select_nearest_to_trajectory(peaks, trajectory)
         else:
             chosen = peaks[0]  # strongest
     with tracing.span("localize.fine"):
         fine_grid = coarse.grid.refined_around(
-            chosen.position, span=fine_span, resolution=fine_resolution
+            chosen.position, span=FINE_SPAN_M, resolution=fine_resolution
         )
         values = np.zeros(fine_grid.shape)
         for positions, channels in segments:
@@ -132,9 +147,9 @@ def refine(
             values += segment_map.values * (len(positions) / len(trajectory))
         fine = Heatmap(grid=fine_grid, values=values)
         estimate = fine.argmax_position()
-    return MultiresResult(
+    return LocalizationResult(
         position=estimate,
         coarse_heatmap=coarse,
         fine_heatmap=fine,
-        selected_peak=chosen,
+        peak_distance_to_trajectory_m=chosen.distance_to_trajectory_m,
     )

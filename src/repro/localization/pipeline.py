@@ -7,7 +7,6 @@ the object the examples and the Fig. 12-14 benchmarks drive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -15,28 +14,17 @@ import numpy as np
 from repro.constants import SAR_DEFAULT_GRID_RESOLUTION_M
 from repro.errors import LocalizationError
 from repro.localization.disentangle import disentangle_series
-from repro.localization.grid import Grid2D, Heatmap
+from repro.localization.grid import Grid2D
 from repro.localization.measurement import ThroughRelayMeasurement
-from repro.localization.multires import MultiresResult, multires_locate
+from repro.localization.multires import LocalizationResult, multires_locate
 from repro.localization.rssi import rssi_locate
-from repro.localization.sar import SarGeometry, grid_geometry
+from repro.localization.sar import SarGeometry, check_frequency_hz, grid_geometry
 from repro.obs import tracing
 
-
-@dataclass(frozen=True)
-class LocalizationResult:
-    """A tag location estimate plus the evidence behind it."""
-
-    position: np.ndarray
-    coarse_heatmap: Heatmap
-    fine_heatmap: Heatmap
-    peak_distance_to_trajectory_m: float
-
-    def error_to(self, true_position) -> float:
-        """Euclidean error against a ground-truth location."""
-        return float(
-            np.linalg.norm(self.position - np.asarray(true_position, dtype=float))
-        )
+#: How far beyond the flight path the tag may lie. The relay-tag link
+#: is power-limited to a few meters, which conveniently bounds the
+#: search.
+SEARCH_MARGIN_M = 6.0
 
 
 class Localizer:
@@ -50,10 +38,6 @@ class Localizer:
         exact f2 for the purist variant.
     coarse_resolution, fine_resolution:
         Multi-resolution stage resolutions.
-    search_margin_m:
-        How far beyond the flight path the tag may lie. The relay-tag
-        link is power-limited to a few meters, which conveniently
-        bounds the search.
     use_nearest_peak_rule:
         §5.2's multipath rule (True) vs plain argmax (False).
     """
@@ -63,20 +47,20 @@ class Localizer:
         frequency_hz: float,
         coarse_resolution: float = 0.10,
         fine_resolution: float = SAR_DEFAULT_GRID_RESOLUTION_M,
-        search_margin_m: float = 6.0,
-        relative_threshold: float = 0.7,
         use_nearest_peak_rule: bool = True,
     ) -> None:
-        if frequency_hz <= 0:
-            raise LocalizationError("frequency must be positive")
+        check_frequency_hz(frequency_hz)
         if coarse_resolution <= 0 or fine_resolution <= 0:
             raise LocalizationError("resolutions must be positive")
         self.frequency_hz = float(frequency_hz)
         self.coarse_resolution = float(coarse_resolution)
         self.fine_resolution = float(fine_resolution)
-        self.search_margin_m = float(search_margin_m)
-        self.relative_threshold = float(relative_threshold)
         self.use_nearest_peak_rule = bool(use_nearest_peak_rule)
+
+    def _grid_around(self, positions: np.ndarray) -> Grid2D:
+        return Grid2D.around_trajectory(
+            positions, margin=SEARCH_MARGIN_M, resolution=self.coarse_resolution
+        )
 
     def locate(
         self,
@@ -84,44 +68,26 @@ class Localizer:
         search_grid: Optional[Grid2D] = None,
     ) -> LocalizationResult:
         """Estimate one tag's 2-D position from a flight's measurements."""
-        result, _ = self._locate_multires(measurements, search_grid)
-        return result
+        return self._locate(measurements, search_grid)
 
-    def _locate_multires(
+    def _locate(
         self,
         measurements: Sequence[ThroughRelayMeasurement],
         search_grid: Optional[Grid2D],
         coarse_geometry: Optional[SarGeometry] = None,
-    ) -> "Tuple[LocalizationResult, Grid2D]":
+    ) -> LocalizationResult:
         with tracing.span("localize.locate", poses=len(measurements)):
             with tracing.span("localize.disentangle"):
                 positions, channels = disentangle_series(measurements)
-            grid = search_grid or Grid2D.around_trajectory(
-                positions,
-                margin=self.search_margin_m,
-                resolution=self.coarse_resolution,
-            )
-            result: MultiresResult = multires_locate(
+            return multires_locate(
                 positions,
                 channels,
-                grid,
+                search_grid or self._grid_around(positions),
                 self.frequency_hz,
                 fine_resolution=self.fine_resolution,
-                relative_threshold=self.relative_threshold,
                 use_nearest_peak_rule=self.use_nearest_peak_rule,
                 coarse_geometry=coarse_geometry,
             )
-        return (
-            LocalizationResult(
-                position=result.position,
-                coarse_heatmap=result.coarse_heatmap,
-                fine_heatmap=result.fine_heatmap,
-                peak_distance_to_trajectory_m=(
-                    result.selected_peak.distance_to_trajectory_m
-                ),
-            ),
-            grid,
-        )
 
     def locate_with_baseline(
         self,
@@ -129,7 +95,7 @@ class Localizer:
         calibration_gain: float,
         search_grid: Optional[Grid2D] = None,
     ) -> "Tuple[LocalizationResult, np.ndarray]":
-        """SAR estimate plus the RSSI baseline, sharing one geometry.
+        """SAR estimate plus the RSSI baseline (§7.3), sharing one geometry.
 
         The Fig. 13/14 sweeps score both localizers on every trial;
         disentangling once and reusing the pose->grid distance tensor
@@ -137,13 +103,9 @@ class Localizer:
         roughly halves the per-trial geometry work.
         """
         positions, channels = disentangle_series(measurements)
-        grid = search_grid or Grid2D.around_trajectory(
-            positions, margin=self.search_margin_m, resolution=self.coarse_resolution
-        )
+        grid = search_grid or self._grid_around(positions)
         geometry = grid_geometry(positions, grid)
-        sar_result, _ = self._locate_multires(
-            measurements, grid, coarse_geometry=geometry
-        )
+        sar_result = self._locate(measurements, grid, coarse_geometry=geometry)
         rssi_estimate, _ = rssi_locate(
             positions,
             channels,
@@ -153,19 +115,3 @@ class Localizer:
             geometry=geometry,
         )
         return sar_result, rssi_estimate
-
-    def locate_rssi(
-        self,
-        measurements: Sequence[ThroughRelayMeasurement],
-        calibration_gain: float,
-        search_grid: Optional[Grid2D] = None,
-    ) -> np.ndarray:
-        """The RSSI baseline on the same measurements (§7.3)."""
-        positions, channels = disentangle_series(measurements)
-        grid = search_grid or Grid2D.around_trajectory(
-            positions, margin=self.search_margin_m, resolution=self.coarse_resolution
-        )
-        best, _ = rssi_locate(
-            positions, channels, grid, self.frequency_hz, calibration_gain
-        )
-        return best

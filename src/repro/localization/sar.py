@@ -19,11 +19,12 @@ and reuses it across matched-filter frequencies and across the RSSI
 baseline (which scores the same distances). Evaluation is chunked over
 candidate nodes to bound peak memory; chunking never changes the
 result (each node's coherent sum is independent), and the chunk size is
-an explicit, testable parameter.
+an explicit, testable parameter of :class:`SarGeometry`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -34,8 +35,8 @@ from repro.localization.grid import Grid2D, Heatmap
 from repro.obs import metrics, tracing
 
 #: Default number of candidate nodes evaluated per chunk. Public and
-#: overridable per call: the chunked and unchunked evaluations agree
-#: exactly, so this is purely a memory/throughput knob.
+#: overridable per :class:`SarGeometry`: the chunked and unchunked
+#: evaluations agree exactly, so this is purely a memory/throughput knob.
 DEFAULT_CHUNK_NODES = 200_000
 
 #: Peak elements of the (poses x nodes) working tensor per chunk; the
@@ -47,6 +48,14 @@ _MAX_CHUNK_ELEMENTS = 4_000_000
 #: geometries recompute their chunks on each pass instead of caching
 #: ~hundreds of MB of distances.
 _MAX_STORE_ELEMENTS = 25_000_000
+
+
+def check_frequency_hz(frequency_hz: float) -> None:
+    """Refuse a matched-filter frequency that is not positive and finite."""
+    if not (math.isfinite(frequency_hz) and frequency_hz > 0):
+        raise LocalizationError(
+            f"frequency must be positive and finite, got {frequency_hz}"
+        )
 
 
 def _validate(
@@ -66,8 +75,7 @@ def _validate(
         raise InsufficientMeasurementsError(
             "the synthetic aperture needs at least two poses"
         )
-    if frequency_hz <= 0:
-        raise LocalizationError("frequency must be positive")
+    check_frequency_hz(frequency_hz)
     if not np.all(np.isfinite(positions)) or not np.all(np.isfinite(channels)):
         raise LocalizationError(
             "positions/channels contain NaN or Inf; drop bad measurements "
@@ -236,15 +244,11 @@ class SarGeometry:
             return mismatch
 
 
-def grid_geometry(
-    positions: np.ndarray,
-    grid: Grid2D,
-    chunk_nodes: int = DEFAULT_CHUNK_NODES,
-) -> SarGeometry:
+def grid_geometry(positions: np.ndarray, grid: Grid2D) -> SarGeometry:
     """Geometry between a trajectory and every node of a search grid."""
     gx, gy = grid.meshgrid()
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
-    return SarGeometry(positions, nodes, chunk_nodes=chunk_nodes)
+    return SarGeometry(positions, nodes)
 
 
 def sar_profile(
@@ -253,7 +257,6 @@ def sar_profile(
     points: np.ndarray,
     frequency_hz: float,
     normalize: bool = True,
-    chunk_nodes: int = DEFAULT_CHUNK_NODES,
 ) -> np.ndarray:
     """P evaluated at arbitrary candidate points of shape (N, 2) or (N, 3).
 
@@ -267,9 +270,7 @@ def sar_profile(
     candidates should build the geometry once instead.
     """
     positions, channels = _validate(positions, channels, frequency_hz)
-    geometry = SarGeometry(
-        positions, points, chunk_nodes=chunk_nodes, store_distances=False
-    )
+    geometry = SarGeometry(positions, points, store_distances=False)
     return geometry.profile(channels, frequency_hz, normalize)
 
 
@@ -279,7 +280,6 @@ def sar_heatmap(
     grid: Grid2D,
     frequency_hz: float,
     normalize: bool = True,
-    chunk_nodes: int = DEFAULT_CHUNK_NODES,
     geometry: Optional[SarGeometry] = None,
 ) -> Heatmap:
     """P(x, y) over a whole grid (the images of paper Fig. 6).
@@ -289,7 +289,7 @@ def sar_heatmap(
     path the Fig. 12/13 sweeps use across frequencies and baselines.
     """
     if geometry is None:
-        geometry = grid_geometry(positions, grid, chunk_nodes=chunk_nodes)
+        geometry = grid_geometry(positions, grid)
     elif geometry.n_points != grid.n_points:
         raise LocalizationError(
             f"geometry covers {geometry.n_points} points but the grid has "

@@ -9,11 +9,9 @@ observer reproduces the OptiTrack scoring of the paper's evaluation.
 from __future__ import annotations
 
 from repro.mobility.trajectory import (
-    LawnmowerTrajectory,
     LineTrajectory,
     Trajectory,
     TrajectorySample,
-    WaypointTrajectory,
 )
 from repro.mobility.drone import Drone
 from repro.mobility.robot import GroundRobot
@@ -23,8 +21,6 @@ __all__ = [
     "Trajectory",
     "TrajectorySample",
     "LineTrajectory",
-    "LawnmowerTrajectory",
-    "WaypointTrajectory",
     "Drone",
     "GroundRobot",
     "OptiTrack",

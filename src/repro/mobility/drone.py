@@ -67,14 +67,6 @@ class Drone:
         """Current the payload draws from the battery."""
         return self.payload_power_w / self.battery_voltage_v
 
-    @property
-    def payload_battery_fraction(self) -> float:
-        """Fraction of the battery's max current the payload consumes.
-
-        The paper's relay draws 0.49 A of the battery's 21.6 A (<3%).
-        """
-        return self.payload_current_a / self.battery_max_current_a
-
     def fly(
         self,
         trajectory: Trajectory,

@@ -105,37 +105,3 @@ class LineTrajectory(Trajectory):
 
     def __init__(self, start, end, speed_mps: float = 0.5) -> None:
         super().__init__([start, end], speed_mps)
-
-
-class WaypointTrajectory(Trajectory):
-    """A free-form waypoint path (predetermined flight plan, §3)."""
-
-    def __init__(self, waypoints: Sequence, speed_mps: float = 0.5) -> None:
-        super().__init__(waypoints, speed_mps)
-
-
-class LawnmowerTrajectory(Trajectory):
-    """Back-and-forth lanes covering a rectangle — warehouse scanning."""
-
-    def __init__(
-        self,
-        origin,
-        width_m: float,
-        depth_m: float,
-        lane_spacing_m: float = 2.0,
-        speed_mps: float = 0.5,
-    ) -> None:
-        if width_m <= 0 or depth_m <= 0:
-            raise MobilityError("coverage area dimensions must be positive")
-        if lane_spacing_m <= 0:
-            raise MobilityError("lane spacing must be positive")
-        origin = np.asarray(origin, dtype=float)
-        n_lanes = max(2, int(np.ceil(depth_m / lane_spacing_m)) + 1)
-        ys = np.linspace(0.0, depth_m, n_lanes)
-        waypoints = []
-        for i, y in enumerate(ys):
-            xs = (0.0, width_m) if i % 2 == 0 else (width_m, 0.0)
-            waypoints.append(origin + np.array([xs[0], y]))
-            waypoints.append(origin + np.array([xs[1], y]))
-        super().__init__(waypoints, speed_mps)
-        self.n_lanes = n_lanes

@@ -10,7 +10,6 @@ from __future__ import annotations
 from repro.reader.channel_estimation import (
     ChannelEstimate,
     estimate_channel,
-    find_reply_start,
     project_to_real,
 )
 from repro.reader.reader import Reader, TagRead
@@ -23,7 +22,6 @@ from repro.reader.multireader import (
 __all__ = [
     "ChannelEstimate",
     "estimate_channel",
-    "find_reply_start",
     "project_to_real",
     "Reader",
     "TagRead",

@@ -85,29 +85,6 @@ def project_to_real(samples: np.ndarray) -> Tuple[np.ndarray, complex]:
     return np.real(samples * rotation), complex(rotation)
 
 
-def find_reply_start(
-    sig: Signal, params: TagParams, n_bits: int, search_limit: Optional[int] = None
-) -> int:
-    """Locate a reply's first sample by preamble energy correlation.
-
-    Correlates the squared envelope derivative... in practice a simple
-    amplitude-variance detector suffices: the reply region is where the
-    envelope switches at the BLF rate. Returns the sample offset of the
-    best alignment of the full expected reply length.
-    """
-    encoder = codec_for(params, sig.sample_rate)[0]
-    template_len = int(round(encoder.duration_of(n_bits) * sig.sample_rate))
-    if template_len > len(sig):
-        raise EncodingError("signal shorter than one reply")
-    envelope = np.abs(sig.samples - np.mean(sig.samples))
-    limit = len(sig) - template_len if search_limit is None else min(
-        search_limit, len(sig) - template_len
-    )
-    window = np.ones(template_len)
-    energy = np.convolve(envelope**2, window, mode="valid")
-    return int(np.argmax(energy[: limit + 1]))
-
-
 def align_to_preamble(
     sig: Signal, params: TagParams, offset: int, slack: int
 ) -> int:
@@ -161,7 +138,8 @@ def estimate_channel(
     n_bits:
         Payload length the reader expects.
     offset:
-        Sample index where the reply begins (see :func:`find_reply_start`).
+        Sample index where the reply begins (refined by
+        :func:`align_to_preamble` within ``align_slack``).
     expected_bits:
         When provided, decoding is skipped and the reply is matched
         against these bits (used by the phase-accuracy benchmarks where

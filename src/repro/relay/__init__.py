@@ -31,7 +31,7 @@ from repro.relay.self_interference import (
     max_stable_range_m,
 )
 from repro.relay.isolation import IsolationReport, measure_all_isolations
-from repro.relay.freq_discovery import FrequencyDiscovery, HoppingPattern
+from repro.relay.freq_discovery import FrequencyDiscovery
 from repro.relay.gain_control import GainPlan, plan_gains
 from repro.relay.analog_baseline import AnalogRelay
 from repro.relay.no_mirror_baseline import NoMirrorRelay
@@ -56,7 +56,6 @@ __all__ = [
     "IsolationReport",
     "measure_all_isolations",
     "FrequencyDiscovery",
-    "HoppingPattern",
     "GainPlan",
     "plan_gains",
     "AnalogRelay",

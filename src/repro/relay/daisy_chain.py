@@ -56,10 +56,6 @@ class ChainPlan:
         """The frequency the last relay illuminates the tags at."""
         return self.hop_frequency_hz(self.n_relays)
 
-    def band_span_hz(self) -> float:
-        """Total spectrum the chain occupies beyond the reader carrier."""
-        return self.n_relays * self.shift_hz
-
 
 def check_chain_stability(
     hop_distances_m: Sequence[float],

@@ -9,20 +9,18 @@ of the incoming wave — a streaming emulation of the transform:
     f_hat = argmax_f | sum_t x(t) exp(-j 2 pi f t) |
 
 The full sweep takes ~20 ms, after which the relay locks on. Under FCC
-rules the reader then hops every <=0.4 s along a pseudo-random pattern;
-once one dwell is identified the relay follows the pattern (§4.2
-footnote 3).
+rules the reader then hops every <=0.4 s along a pseudo-random pattern,
+which the paper's relay follows once one dwell is identified (§4.2
+footnote 3); following the hops is not modeled here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.constants import (
-    FCC_HOP_DWELL_SECONDS,
     RELAY_FREQ_SWEEP_TOTAL_SECONDS,
     UHF_BAND_START,
     UHF_CHANNEL_SPACING,
@@ -36,54 +34,6 @@ def ism_channels() -> np.ndarray:
     """Center frequencies of the 50 FCC hopping channels."""
     first = UHF_BAND_START + UHF_CHANNEL_SPACING / 2.0
     return first + UHF_CHANNEL_SPACING * np.arange(UHF_NUM_CHANNELS)
-
-
-@dataclass(frozen=True)
-class HoppingPattern:
-    """A pseudo-random FCC channel hopping sequence.
-
-    Readers must use all channels pseudo-randomly with bounded dwell;
-    the sequence is fixed per reader, which is what lets the relay lock
-    onto the *pattern* after identifying a single dwell.
-    """
-
-    channels: Tuple[float, ...]
-    dwell_seconds: float = FCC_HOP_DWELL_SECONDS
-
-    def __post_init__(self) -> None:
-        if len(self.channels) == 0:
-            raise ConfigurationError("hopping pattern must contain channels")
-        if not 0 < self.dwell_seconds <= FCC_HOP_DWELL_SECONDS:
-            raise ConfigurationError(
-                f"dwell must be in (0, {FCC_HOP_DWELL_SECONDS}] s"
-            )
-
-    @staticmethod
-    def random(
-        rng: np.random.Generator, dwell_seconds: float = FCC_HOP_DWELL_SECONDS
-    ) -> "HoppingPattern":
-        """A random permutation of the 50 ISM channels."""
-        channels = tuple(float(c) for c in rng.permutation(ism_channels()))
-        return HoppingPattern(channels=channels, dwell_seconds=dwell_seconds)
-
-    def channel_at(self, t: float) -> float:
-        """The channel in use at absolute time ``t``."""
-        # The epsilon absorbs float roundoff at exact dwell boundaries.
-        index = int(np.floor(t / self.dwell_seconds + 1e-9)) % len(self.channels)
-        return self.channels[index]
-
-    def index_of(self, frequency_hz: float) -> int:
-        """Position of a channel in the pattern."""
-        for i, c in enumerate(self.channels):
-            if abs(c - frequency_hz) < UHF_CHANNEL_SPACING / 2:
-                return i
-        raise FrequencyLockError(
-            f"{frequency_hz / 1e6:.3f} MHz is not in the hopping pattern"
-        )
-
-    def next_after(self, frequency_hz: float) -> float:
-        """The channel the reader will hop to after the given one."""
-        return self.channels[(self.index_of(frequency_hz) + 1) % len(self.channels)]
 
 
 class FrequencyDiscovery:
@@ -167,15 +117,3 @@ class FrequencyDiscovery:
                 f"{magnitudes[best]:.3e} vs floor {floor:.3e}"
             )
         return float(self.candidates[best])
-
-    def track(
-        self, locked_frequency_hz: float, pattern: HoppingPattern, t: float
-    ) -> float:
-        """Predict the reader's current channel from one past lock.
-
-        ``locked_frequency_hz`` was discovered at time 0 (start of a
-        dwell); the pattern then determines the channel at time ``t``.
-        """
-        start_index = pattern.index_of(locked_frequency_hz)
-        hops = int(t // pattern.dwell_seconds)
-        return pattern.channels[(start_index + hops) % len(pattern.channels)]

@@ -39,16 +39,6 @@ class IsolationReport:
         """The value stored for one leakage path."""
         return float(getattr(self, f"{path.value}_db"))
 
-    @property
-    def worst_db(self) -> float:
-        """The binding constraint for stability and range."""
-        return min(
-            self.inter_downlink_db,
-            self.inter_uplink_db,
-            self.intra_downlink_db,
-            self.intra_uplink_db,
-        )
-
 
 def _measure(
     relay: MirroredRelay,

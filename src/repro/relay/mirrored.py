@@ -182,10 +182,3 @@ class MirroredRelay:
     def uplink_gain_db(self) -> float:
         """Small-signal uplink conversion gain."""
         return self.uplink.gain_db
-
-    def round_trip_phase_is_mirrored(self) -> bool:
-        """True when the four mixers share two synthesizers (sanity check)."""
-        return (
-            self.downlink.lo_in is self.uplink.lo_out
-            and self.downlink.lo_out is self.uplink.lo_in
-        )

@@ -96,7 +96,3 @@ class NoMirrorRelay:
     def forward_uplink(self, sig: Signal) -> Signal:
         """Relay a tag response toward the reader (f2 -> f1)."""
         return self.uplink.forward(sig)
-
-    def round_trip_phase_is_mirrored(self) -> bool:
-        """Always False: that is the point of this baseline."""
-        return False

@@ -124,16 +124,5 @@ class ResultCache:
                 pass
             raise
 
-    def clear(self) -> int:
-        """Delete every cached payload; returns how many were removed."""
-        removed = 0
-        for path in self.cache_dir.glob("*/*.pkl"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
     def __len__(self) -> int:
         return sum(1 for _ in self.cache_dir.glob("*/*.pkl"))

@@ -58,16 +58,3 @@ class RuntimeConfig:
         if self.max_workers is not None:
             return self.max_workers
         return max(1, os.cpu_count() or 1)
-
-    @staticmethod
-    def auto(
-        cache_dir: "Optional[str | os.PathLike[str]]" = None,
-        manifest_dir: "Optional[str | os.PathLike[str]]" = None,
-    ) -> "RuntimeConfig":
-        """Process backend when the host has >1 CPU, serial otherwise."""
-        backend = "process" if (os.cpu_count() or 1) > 1 else "serial"
-        return RuntimeConfig(
-            backend=backend,
-            cache_dir=None if cache_dir is None else Path(cache_dir),
-            manifest_dir=None if manifest_dir is None else Path(manifest_dir),
-        )

@@ -352,7 +352,7 @@ class TrafficSpec:
     def __post_init__(self) -> None:
         codec.coerce(self)
         if self.load <= 0.0:
-            raise ConfigurationError("load must be > 0")
+            raise ConfigurationError("load factor must be positive")
         if self.powering_range_m <= 0.0:
             raise ConfigurationError("powering_range_m must be > 0")
         if self.latency_slo_s <= 0.0:

@@ -13,23 +13,27 @@ The degradation ladder has three rungs, decided per micro-batch:
 1. **FULL** — project onto the session's full-resolution coarse grid
    (plus the always-on degraded grid that backs cheap estimates).
 2. **DEGRADED** — when the projected queueing delay exceeds
-   ``degrade_after_s``, project onto the coarse multires grid only
-   (``degraded_resolution_factor`` times coarser, so roughly that
-   factor squared cheaper) and defer the full-resolution fold-in;
-   the accumulation is linear, so the deferred poses are folded in
-   later (idle catch-up or finalize) with zero accuracy loss.
+   :attr:`ServeConfig.degrade_threshold_s` (half the latency SLO),
+   project onto the degraded grid only (3x coarser, so roughly 9x
+   cheaper; see :mod:`repro.serve.session`) and defer the
+   full-resolution fold-in; the accumulation is linear, so the deferred
+   poses are folded in later (idle catch-up or finalize) with zero
+   accuracy loss.
 3. **SHED** — admission control: a session whose bounded queue is full
    drops the new update at ingest and reports it.
+
+Finalize refines with the batch ``Localizer``'s fixed fine stage and
+peak rule (:func:`repro.localization.multires.refine`), and transient
+ingest faults are retried on a fixed schedule
+(:mod:`repro.serve.service`); neither is configured here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.constants import SAR_DEFAULT_GRID_RESOLUTION_M
+from repro import codec
 from repro.errors import ConfigurationError
-from repro.localization.sar import DEFAULT_CHUNK_NODES
 
 
 @dataclass(frozen=True)
@@ -42,10 +46,9 @@ class ServeConfig:
         Matched-filter frequency shared by every session.
     latency_slo_s:
         Target p99 end-to-end (arrival -> applied) latency; the
-        reports compare against it and the benchmark asserts it.
-    degrade_after_s:
-        Projected queueing delay beyond which a micro-batch runs on
-        the degraded grid. ``None`` defaults to half the SLO.
+        reports compare against it and the benchmark asserts it. A
+        micro-batch degrades once its projected queueing delay passes
+        half of it (:attr:`degrade_threshold_s`).
     queue_capacity:
         Per-session bound on pending updates; arrivals beyond it are
         shed at ingest (admission control).
@@ -58,28 +61,15 @@ class ServeConfig:
         Virtual grid-node projection rate of the (single) server.
     batch_overhead_s:
         Fixed virtual cost per micro-batch (dispatch + kernel launch).
-    degraded_resolution_factor:
-        How much coarser the degraded grid is than the session grid.
     session_ttl_s:
         Idle time after which a quiesced session is evicted (and
         checkpointed when a cache is attached).
     max_sessions:
         Hard bound on concurrently live sessions.
-    ingest_retries:
-        Bounded retry budget against transient ingest faults (injected
-        relay instability); past it the update is rejected loudly.
-    retry_backoff_s, retry_backoff_factor:
-        Deterministic exponential backoff charged in virtual time:
-        retry ``k`` waits ``retry_backoff_s * retry_backoff_factor**k``.
     reference_timeout_s:
         How long a session's reference tag may stay undecodable (each
         such update is REJECTED, a flagged degradation) before the
         service escalates to :class:`~repro.errors.ReferenceLostError`.
-    fine_resolution, fine_span, relative_threshold,
-    use_nearest_peak_rule:
-        Finalize-stage parameters, matching the batch ``Localizer``.
-    chunk_nodes:
-        Node chunking for grid projections (memory knob only).
     capacity_mode:
         ``"shared"`` (default) runs every session against one virtual
         server: the backlog is global, so co-resident sessions couple
@@ -90,31 +80,25 @@ class ServeConfig:
         sharded run (:mod:`repro.serve.shard`) bit-identical to the
         unsharded service. Sharding *requires* partitioned isolation.
         :meth:`server_of` is the one place the mode is decided.
+
+    Every numeric field must be finite; a bad value raises
+    :class:`~repro.errors.ConfigurationError` naming the field.
     """
 
     frequency_hz: float
     latency_slo_s: float = 0.25
-    degrade_after_s: Optional[float] = None
     queue_capacity: int = 128
     max_batch_poses: int = 32
     catchup_poses: int = 64
     service_rate_nodes_per_s: float = 2.0e6
     batch_overhead_s: float = 0.002
-    degraded_resolution_factor: float = 3.0
     session_ttl_s: float = 30.0
     max_sessions: int = 512
-    ingest_retries: int = 2
-    retry_backoff_s: float = 0.005
-    retry_backoff_factor: float = 2.0
     reference_timeout_s: float = 1.0
-    fine_resolution: float = SAR_DEFAULT_GRID_RESOLUTION_M
-    fine_span: float = 1.0
-    relative_threshold: float = 0.7
-    use_nearest_peak_rule: bool = True
-    chunk_nodes: int = DEFAULT_CHUNK_NODES
     capacity_mode: str = "shared"
 
     def __post_init__(self) -> None:
+        codec.coerce(self)
         if self.capacity_mode not in ("shared", "partitioned"):
             raise ConfigurationError(
                 "capacity_mode must be 'shared' or 'partitioned', "
@@ -124,12 +108,6 @@ class ServeConfig:
             raise ConfigurationError("frequency must be positive")
         if self.latency_slo_s <= 0:
             raise ConfigurationError("latency SLO must be positive")
-        if self.degrade_after_s is None:
-            object.__setattr__(
-                self, "degrade_after_s", self.latency_slo_s / 2.0
-            )
-        elif self.degrade_after_s <= 0:
-            raise ConfigurationError("degrade threshold must be positive")
         if self.queue_capacity < 1:
             raise ConfigurationError("queue capacity must be >= 1")
         if self.max_batch_poses < 1:
@@ -140,20 +118,10 @@ class ServeConfig:
             raise ConfigurationError("service rate must be positive")
         if self.batch_overhead_s < 0:
             raise ConfigurationError("batch overhead must be >= 0")
-        if self.degraded_resolution_factor < 1.0:
-            raise ConfigurationError(
-                "degraded grid must not be finer than the session grid"
-            )
         if self.session_ttl_s <= 0:
             raise ConfigurationError("session TTL must be positive")
         if self.max_sessions < 1:
             raise ConfigurationError("max sessions must be >= 1")
-        if self.ingest_retries < 0:
-            raise ConfigurationError("ingest retry budget must be >= 0")
-        if self.retry_backoff_s <= 0:
-            raise ConfigurationError("retry backoff must be positive")
-        if self.retry_backoff_factor < 1.0:
-            raise ConfigurationError("retry backoff factor must be >= 1")
         if self.reference_timeout_s <= 0:
             raise ConfigurationError(
                 "reference reacquisition timeout must be positive"
@@ -161,11 +129,8 @@ class ServeConfig:
 
     @property
     def degrade_threshold_s(self) -> float:
-        """The resolved degradation threshold (``__post_init__`` fills it)."""
-        threshold_s = self.degrade_after_s
-        if threshold_s is None:  # pragma: no cover - unreachable after init
-            return self.latency_slo_s / 2.0
-        return threshold_s
+        """Projected queueing delay past which a batch degrades: half the SLO."""
+        return self.latency_slo_s / 2.0
 
     def server_of(self, session_id: str) -> str:
         """The virtual server that does ``session_id``'s work.

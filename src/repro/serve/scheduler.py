@@ -8,9 +8,10 @@ round's batches and folds them all in one stacked
 plans against the virtual cost model, keeping a running projection of
 each virtual server's backlog (:meth:`ServeConfig.server_of`) as it
 lays batches out — so when the projected queueing delay of a batch
-crosses ``degrade_threshold_s``, that batch (and the rest of an
-overloaded round on the same server) drops to the degraded grid, which
-is roughly ``degraded_resolution_factor ** 2`` cheaper per pose.
+crosses ``degrade_threshold_s`` (half the latency SLO), that batch
+(and the rest of an overloaded round on the same server) drops to the
+degraded grid, which is 3x coarser and so roughly 9x cheaper per pose
+(:data:`~repro.serve.session.DEGRADED_RESOLUTION_FACTOR`).
 Catch-up of deferred full-resolution work rides along only while the
 server is ahead of the SLO.
 """

@@ -41,6 +41,15 @@ from repro.serve.session import SessionStore, TagSession
 #: update is rejected rather than folded in as a spurious zero channel.
 _MIN_TAG_MAGNITUDE = 1e-30
 
+#: Transient ingest faults (injected relay instability) are retried this
+#: many times; past it the update is rejected loudly.
+INGEST_RETRIES = 2
+
+#: Virtual-time backoff before the first retry, and its growth factor:
+#: retry ``k`` waits ``RETRY_BACKOFF_S * RETRY_BACKOFF_FACTOR**k``.
+RETRY_BACKOFF_S = 0.005
+RETRY_BACKOFF_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class StepReport:
@@ -102,11 +111,6 @@ class ServiceReport:
     def p99_latency_s(self) -> float:
         """99th-percentile applied latency."""
         return _percentile_s(self.latency_samples_s, 99.0)
-
-    @property
-    def max_latency_s(self) -> float:
-        """Worst applied latency."""
-        return self.latency_samples_s[-1] if self.latency_samples_s else 0.0
 
     @property
     def mean_recovery_latency_s(self) -> float:
@@ -203,10 +207,10 @@ class LocalizationService:
         """Bounded deterministic-backoff retry against ingest faults.
 
         Injected stalls charge the session's virtual server; injected
-        transient drops are retried up to ``config.ingest_retries``
-        times with exponential backoff (``retry_backoff_s * factor**k``)
-        advanced on the virtual clock. Returns the possibly-delayed arrival
-        time, or ``None`` once the retry budget is exhausted.
+        transient drops are retried up to :data:`INGEST_RETRIES` times,
+        retry ``k`` waiting ``RETRY_BACKOFF_S * RETRY_BACKOFF_FACTOR**k``
+        on the virtual clock. Returns the possibly-delayed arrival time,
+        or ``None`` once the retry budget is exhausted.
         """
         stall_s = faults.stall_s("serve.ingest", now_s=arrival_s)
         if stall_s > 0.0:
@@ -215,12 +219,10 @@ class LocalizationService:
         first_arrival_s = arrival_s
         attempt = 0
         while faults.dropped("serve.ingest", now_s=arrival_s):
-            if attempt >= self.config.ingest_retries:
+            if attempt >= INGEST_RETRIES:
                 metrics.count("serve.ingest.retries_exhausted")
                 return None
-            backoff_s = self.config.retry_backoff_s * (
-                self.config.retry_backoff_factor**attempt
-            )
+            backoff_s = RETRY_BACKOFF_S * RETRY_BACKOFF_FACTOR**attempt
             arrival_s = self.clock.advance_to(arrival_s + backoff_s)
             attempt += 1
             metrics.count("serve.ingest.retries")

@@ -2,12 +2,14 @@
 
 A :class:`TagSession` owns two incremental accumulators over the same
 extent: the *full* session grid and a *degraded* grid
-``degraded_resolution_factor`` times coarser. Every update always lands
+:data:`DEGRADED_RESOLUTION_FACTOR` (3x) coarser. Every update always lands
 in the degraded accumulator (it is cheap and keeps the quick estimate
 complete); FULL-mode batches also land in the full accumulator, while
 DEGRADED-mode batches defer that fold-in to a lag list. Because the
 coherent sum is linear, catching up later is *exact* — degradation
-trades estimate resolution now for zero accuracy loss at finalize.
+trades estimate resolution now for zero accuracy loss at finalize,
+which runs the batch ``Localizer``'s fine stage and peak rule
+(:func:`~repro.localization.incremental.finalize_segments`).
 
 The :class:`SessionStore` bounds live sessions, evicts quiesced ones
 after a TTL, and (when given a :class:`repro.runtime.ResultCache`)
@@ -58,10 +60,15 @@ class SessionStats:
     caught_up: int = 0
 
 
-def _degraded_grid(grid: Grid2D, factor: float) -> Grid2D:
-    """The coarse fallback grid: same extent, ``factor`` x resolution."""
+#: How much coarser the degraded grid is than the session grid (so a
+#: degraded pose costs roughly this factor squared less to project).
+DEGRADED_RESOLUTION_FACTOR = 3.0
+
+
+def _degraded_grid(grid: Grid2D) -> Grid2D:
+    """The coarse fallback grid: same extent, 3x the resolution."""
     resolution = min(
-        grid.resolution * factor,
+        grid.resolution * DEGRADED_RESOLUTION_FACTOR,
         (grid.x_max - grid.x_min) / 2.0,
         (grid.y_max - grid.y_min) / 2.0,
     )
@@ -115,29 +122,11 @@ class TagSession:
         self._archive: Dict[str, Dict[str, Any]] = {}
 
     def _fresh_full(self) -> IncrementalSar:
-        return IncrementalSar(
-            self.config.frequency_hz,
-            self.grid,
-            chunk_nodes=self.config.chunk_nodes,
-            fine_resolution=self.config.fine_resolution,
-            fine_span=self.config.fine_span,
-            relative_threshold=self.config.relative_threshold,
-            use_nearest_peak_rule=self.config.use_nearest_peak_rule,
-        )
+        return IncrementalSar(self.config.frequency_hz, self.grid)
 
     def _fresh_degraded(self) -> IncrementalSar:
         return IncrementalSar(
-            self.config.frequency_hz,
-            _degraded_grid(
-                self.grid, self.config.degraded_resolution_factor
-            ),
-            chunk_nodes=self.config.chunk_nodes,
-            fine_resolution=min(
-                self.config.fine_resolution, self.grid.resolution
-            ),
-            fine_span=self.config.fine_span,
-            relative_threshold=self.config.relative_threshold,
-            use_nearest_peak_rule=self.config.use_nearest_peak_rule,
+            self.config.frequency_hz, _degraded_grid(self.grid)
         )
 
     # -- ingest ------------------------------------------------------------------

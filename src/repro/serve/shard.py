@@ -157,14 +157,6 @@ class ShardRing:
             raise ConfigurationError(f"unknown shard {shard_id!r}")
         return ShardRing(remaining, replicas=self.replicas)
 
-    def with_shard(self, shard_id: str) -> "ShardRing":
-        """The ring with one shard added (scale-out reassignment)."""
-        if shard_id in self.shard_ids:
-            raise ConfigurationError(f"duplicate shard {shard_id!r}")
-        return ShardRing(
-            self.shard_ids + (shard_id,), replicas=self.replicas
-        )
-
 
 @dataclass(frozen=True)
 class ShardConfig:

@@ -8,7 +8,6 @@ from repro.channel import (
     Ray,
     Wall,
     one_way_channel,
-    round_trip_channel,
     trace_rays,
 )
 from repro.channel.environment import CONCRETE, STEEL
@@ -17,6 +16,21 @@ from repro.constants import SPEED_OF_LIGHT, UHF_CENTER_FREQUENCY
 from repro.errors import GeometryError
 
 F = UHF_CENTER_FREQUENCY
+
+
+def steel_aisle():
+    """Steel shelves flanking a 10 x 2.5 m aisle: heavy multipath (Fig. 6(b))."""
+    env = Environment(max_reflections=2)
+    env.add_wall((0.0, -1.25), (10.0, -1.25), STEEL, "shelf-south")
+    env.add_wall((0.0, 1.25), (10.0, 1.25), STEEL, "shelf-north")
+    return env
+
+
+def cross_wall(wall_x, material):
+    """One wall across the x axis at ``wall_x``: the NLOS setting of Fig. 11."""
+    env = Environment(max_reflections=1)
+    env.add_wall((wall_x, -30.0), (wall_x, 30.0), material, "cross-wall")
+    return env
 
 
 class TestTraceRays:
@@ -61,7 +75,7 @@ class TestTraceRays:
 
     def test_bounce_longer_than_direct(self):
         """Paper §5.2's key insight: reflections travel farther."""
-        env = Environment.warehouse_aisle()
+        env = steel_aisle()
         rays = env.rays_between((0.5, 0.2), (9.0, -0.7))
         direct = rays[0].length
         for ray in rays[1:]:
@@ -106,18 +120,6 @@ class TestChannels:
         )
         assert abs(h) == pytest.approx(free_space_amplitude(d, F))
 
-    def test_round_trip_is_square(self):
-        rays = [Ray(5.0, 1.0, 0), Ray(7.0, 0.5, 1)]
-        h1 = one_way_channel(rays, F)
-        assert round_trip_channel(rays, F) == pytest.approx(h1 * h1)
-
-    def test_round_trip_single_path_doubles_phase(self):
-        d = 4.0
-        rays = [Ray(length=d, gain=1.0, bounces=0)]
-        h = round_trip_channel(rays, F)
-        expected = -2 * np.pi * F * 2 * d / SPEED_OF_LIGHT
-        assert np.angle(h) == pytest.approx(np.angle(np.exp(1j * expected)), abs=1e-9)
-
     def test_destructive_interference_possible(self):
         """Two paths half a wavelength apart cancel (RFID blind spots)."""
         lam = SPEED_OF_LIGHT / F
@@ -145,18 +147,18 @@ class TestEnvironment:
         assert env.obstruction_loss_db((0, 0), (100, 100)) == 0.0
 
     def test_through_wall_blocks_los(self):
-        env = Environment.through_wall(wall_x=5.0, material=CONCRETE)
+        env = cross_wall(5.0, CONCRETE)
         assert not env.has_line_of_sight((0, 0), (10, 0))
         assert env.obstruction_loss_db((0, 0), (10, 0)) == pytest.approx(
             CONCRETE.transmission_loss_db
         )
 
     def test_parallel_to_wall_keeps_los(self):
-        env = Environment.through_wall(wall_x=5.0)
+        env = cross_wall(5.0, CONCRETE)
         assert env.has_line_of_sight((0, 0), (0, 10))
 
     def test_warehouse_aisle_is_multipath_rich(self):
-        env = Environment.warehouse_aisle()
+        env = steel_aisle()
         rays = env.rays_between((1, 0), (8, 0.5))
         assert sum(1 for r in rays if r.bounces > 0) >= 2
 
@@ -170,12 +172,8 @@ class TestEnvironment:
         assert wall.reflectivity == STEEL.reflectivity
         assert wall.transmission_loss_db == STEEL.transmission_loss_db
 
-    def test_invalid_corridor(self):
-        with pytest.raises(GeometryError):
-            Environment.corridor(length_m=-1.0)
-
     def test_channel_weaker_through_wall(self):
-        blocked = Environment.through_wall(wall_x=5.0, material=CONCRETE)
+        blocked = cross_wall(5.0, CONCRETE)
         clear = Environment.free_space()
         h_clear = abs(clear.channel((0, 0), (10, 0), F))
         h_blocked = abs(blocked.channel((0, 0), (10, 0), F))

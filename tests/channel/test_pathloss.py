@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.channel.pathloss import (
     free_space_amplitude,
-    free_space_gain_db,
     free_space_path_loss_db,
     free_space_range_for_loss,
     log_distance_path_loss_db,
@@ -26,16 +25,11 @@ class TestFreeSpace:
             10.0, F
         ) == pytest.approx(6.02, abs=0.01)
 
-    def test_gain_is_negative_loss(self):
-        assert free_space_gain_db(5.0, F) == pytest.approx(
-            -free_space_path_loss_db(5.0, F)
-        )
-
     def test_amplitude_squares_to_gain(self):
         import numpy as np
 
         amp = free_space_amplitude(7.0, F)
-        assert 20.0 * np.log10(amp) == pytest.approx(free_space_gain_db(7.0, F))
+        assert 20.0 * np.log10(amp) == pytest.approx(-free_space_path_loss_db(7.0, F))
 
     def test_invalid_inputs(self):
         with pytest.raises(LinkBudgetError):

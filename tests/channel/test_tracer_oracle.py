@@ -125,7 +125,9 @@ class TestEnvironmentWallConstants:
         return Environment(env.walls, max_reflections=env.max_reflections)
 
     def test_add_wall_after_a_query(self):
-        env = Environment.warehouse_aisle()
+        env = Environment(max_reflections=2)  # steel shelves flanking an aisle
+        env.add_wall((0.0, -1.25), (10.0, -1.25), STEEL, "shelf-south")
+        env.add_wall((0.0, 1.25), (10.0, 1.25), STEEL, "shelf-north")
         a, b = (0.5, 0.2), (9.0, -0.7)
         env.channel(a, b, 915e6)
         env.add_wall((4.0, -3.0), (4.0, 3.0), CONCRETE, "cross")

@@ -67,9 +67,6 @@ class TestLowPass:
         with pytest.raises(ConfigurationError):
             LowPassFilter(100e3, FS, order=0)
 
-    def test_group_delay_is_positive(self, lpf):
-        assert lpf.group_delay_seconds(0.0) > 0.0
-
 
 class TestBandPass:
     def test_passband_nearly_transparent(self, bpf):

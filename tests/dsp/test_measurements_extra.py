@@ -72,20 +72,3 @@ class TestEstimateSnr:
     def test_empty_signal(self):
         with pytest.raises(SignalError):
             estimate_snr_db(Signal(np.array([]), FS), (0.0, 1.0))
-
-
-class TestGroupDelay:
-    def test_lpf_delay_near_analytic(self):
-        from repro.dsp import LowPassFilter
-
-        lpf = LowPassFilter(100e3, FS, order=6)
-        gd = lpf.group_delay_seconds(0.0)
-        # A 6th-order 100 kHz Butterworth delays by roughly n/(2 pi fc)
-        # ~ 10 us; accept a loose band.
-        assert 3e-6 < gd < 20e-6
-
-    def test_bpf_delay_positive_in_band(self):
-        from repro.dsp import BandPassFilter
-
-        bpf = BandPassFilter(500e3, 150e3, FS, order=3)
-        assert bpf.group_delay_seconds(500e3) > 0.0

@@ -16,10 +16,6 @@ class TestOscillator:
         t = np.linspace(0, 1e-3, 100)
         np.testing.assert_allclose(osc.envelope_rotation(t), 1.0)
 
-    def test_actual_frequency_includes_cfo(self):
-        osc = Oscillator(915e6, cfo_hz=500.0)
-        assert osc.actual_frequency_hz == pytest.approx(915e6 + 500.0)
-
     def test_phase_advances_at_cfo_rate(self):
         osc = Oscillator(915e6, cfo_hz=1000.0)
         # After 1 ms at 1 kHz CFO the error phase is 2 pi * 1 = one cycle.

@@ -117,8 +117,3 @@ class TestCombination:
         b = make_signal(t0=1e-3)
         with pytest.raises(SignalError):
             a + b
-
-    def test_concatenated_lengths(self):
-        a = make_signal(n=30)
-        b = make_signal(n=20)
-        assert len(a.concatenated(b)) == 50

@@ -29,9 +29,6 @@ class TestTagParams:
         with pytest.raises(ConfigurationError):
             TagParams(miller_m=3)
 
-    def test_symbol_period(self):
-        assert TagParams(blf=500e3, miller_m=4).symbol_period == pytest.approx(8e-6)
-
 
 class TestFM0:
     def test_roundtrip(self):

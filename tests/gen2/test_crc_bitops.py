@@ -7,8 +7,6 @@ from repro.errors import CRCError, EncodingError
 from repro.gen2.bitops import (
     bits_from_int,
     bits_to_int,
-    bits_to_str,
-    hamming_distance,
     validate_bits,
 )
 from repro.gen2.crc import (
@@ -39,14 +37,6 @@ class TestBitops:
     def test_non_binary_rejected(self):
         with pytest.raises(EncodingError):
             validate_bits((0, 1, 2))
-
-    def test_bits_to_str(self):
-        assert bits_to_str((1, 0, 1)) == "101"
-
-    def test_hamming(self):
-        assert hamming_distance((1, 0, 1), (1, 1, 1)) == 1
-        with pytest.raises(EncodingError):
-            hamming_distance((1, 0), (1,))
 
     @given(st.integers(0, 2**32 - 1))
     def test_int_roundtrip(self, value):

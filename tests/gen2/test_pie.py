@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.constants import GEN2_BLF_DEFAULT
 from repro.errors import ConfigurationError, EncodingError
 from repro.gen2 import PIEDecoder, PIEEncoder, ReaderParams
-from repro.gen2.pie import DELIMITER_SECONDS
+from repro.gen2.pie import DELIMITER_SECONDS, DR_64_OVER_3
 
 FS = 4e6
 
@@ -102,8 +102,8 @@ class TestDecode:
     def test_blf_recovered_from_trcal(self, codec):
         enc, dec = codec
         _, _, trcal = dec.decode(enc.encode((1, 0), preamble=True))
-        blf = dec.blf_from_trcal(trcal)
-        assert blf == pytest.approx(GEN2_BLF_DEFAULT, rel=0.02)
+        # BLF = DR / TRcal (the default divide ratio is 64/3).
+        assert DR_64_OVER_3 / trcal == pytest.approx(GEN2_BLF_DEFAULT, rel=0.02)
 
     def test_decode_with_scaling_and_phase(self, codec):
         """The tag decodes from the envelope: complex gain is irrelevant."""
@@ -120,7 +120,7 @@ class TestDecode:
         bits = (1, 0, 1, 1, 0)
         decoded, preamble, trcal = dec.decode(enc.encode(bits, preamble=True))
         assert decoded == bits
-        assert dec.blf_from_trcal(trcal) == pytest.approx(640e3, rel=0.05)
+        assert DR_64_OVER_3 / trcal == pytest.approx(640e3, rel=0.05)
 
     def test_unmodulated_signal_rejected(self, codec):
         _, dec = codec

@@ -5,7 +5,7 @@ import pytest
 
 from repro.constants import TAG_SENSITIVITY_DBM
 from repro.dsp import Signal, tone
-from repro.errors import ConfigurationError, TagNotPoweredError
+from repro.errors import ConfigurationError
 from repro.hardware import PassiveTag, Synthesizer, TagPowerState
 from repro.hardware.reader_frontend import ReaderFrontend
 
@@ -53,15 +53,6 @@ class TestPassiveTagPower:
 
 
 class TestBackscatter:
-    def test_backscattered_power_loss(self):
-        tag = make_tag()
-        assert tag.backscattered_power_dbm(-10.0) == pytest.approx(-16.0)
-
-    def test_backscatter_requires_power(self):
-        tag = make_tag()
-        with pytest.raises(TagNotPoweredError):
-            tag.backscattered_power_dbm(-30.0)
-
     def test_modulate_multiplies_waveforms(self):
         tag = make_tag()
         carrier = tone(0.0, 1e-4, 4e6, amplitude=1.0)

@@ -67,14 +67,6 @@ class TestHeatmap:
         hm = Heatmap(grid=grid, values=values)
         np.testing.assert_allclose(hm.argmax_position(), [0.5, 1.0])
 
-    def test_value_at(self):
-        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 0.5)
-        values = np.arange(9).reshape(3, 3).astype(float)
-        hm = Heatmap(grid=grid, values=values)
-        assert hm.value_at((0.0, 0.0)) == 0.0
-        assert hm.value_at((1.0, 1.0)) == 8.0
-        assert hm.value_at((5.0, 5.0)) == 8.0  # clipped to edge
-
 
 class TestSar:
     def test_peak_at_true_location(self, line_array):

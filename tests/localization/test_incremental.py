@@ -163,10 +163,9 @@ class TestValidation:
             IncrementalSar(0.0, Grid2D(0.0, 1.0, 0.0, 1.0, 0.25))
 
     def test_fine_resolution_must_refine_coarse(self):
-        with pytest.raises(LocalizationError):
-            IncrementalSar(
-                F, Grid2D(0.0, 1.0, 0.0, 1.0, 0.05), fine_resolution=0.2
-            )
+        # Finalize refines at 2 cm, so a 1 cm grid is refused up front.
+        with pytest.raises(LocalizationError, match="refine the coarse grid"):
+            IncrementalSar(F, Grid2D(0.0, 1.0, 0.0, 1.0, 0.01))
 
     def test_bad_position_shape_rejected(self):
         with pytest.raises(LocalizationError):

@@ -127,7 +127,7 @@ class TestMultires:
         with pytest.raises(LocalizationError):
             multires_locate(line_array, channels, grid, F, fine_resolution=0.5)
         with pytest.raises(LocalizationError):
-            multires_locate(line_array, channels, grid, F, fine_span=-1.0)
+            multires_locate(line_array, channels, grid, F, fine_resolution=-0.01)
 
 
 class TestRssi:

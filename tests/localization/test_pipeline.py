@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.channel import Environment
+from repro.channel.environment import STEEL
 from repro.constants import UHF_CENTER_FREQUENCY
 from repro.errors import LocalizationError
 from repro.localization import Grid2D, Localizer, MeasurementModel
@@ -64,7 +65,10 @@ class TestLocalizer:
         assert error < 0.05
 
     def test_multipath_environment(self):
-        env = Environment.warehouse_aisle(aisle_length_m=8.0, aisle_width_m=5.0)
+        # Steel shelves flanking an 8 x 5 m aisle.
+        env = Environment(max_reflections=2)
+        env.add_wall((0.0, -2.5), (8.0, -2.5), STEEL, "shelf-south")
+        env.add_wall((0.0, 2.5), (8.0, 2.5), STEEL, "shelf-north")
         tag = (1.5, 1.2)
         localizer = Localizer(frequency_hz=F)
         result = localizer.locate(
@@ -76,14 +80,12 @@ class TestLocalizer:
         tag = (1.4, 1.9)
         measurements = make_measurements(tag, snr_db=15.0)
         localizer = Localizer(frequency_hz=F)
-        sar_error = localizer.locate(
-            measurements, search_grid=HALF_PLANE
-        ).error_to(tag)
         model = MeasurementModel(reader_position=(-8.0, 0.0))
         calibration = abs(model.relay_gain / model.reference_gain)
-        rssi_estimate = localizer.locate_rssi(
+        sar_result, rssi_estimate = localizer.locate_with_baseline(
             measurements, calibration, search_grid=HALF_PLANE
         )
+        sar_error = sar_result.error_to(tag)
         rssi_error = float(np.linalg.norm(rssi_estimate - np.asarray(tag)))
         assert sar_error <= rssi_error + 0.05
 

@@ -1,9 +1,10 @@
-"""Chunked evaluation must not change SAR numerics (ISSUE satellite).
+"""Chunked evaluation must not change SAR numerics.
 
 The matched filter sums coherently over poses, and the chunk axis is
 the candidate-node axis — chunk boundaries therefore cannot change any
 node's sum. These tests pin that claim to 1e-12 across chunk widths,
-storage modes, and the shared-geometry fast path.
+storage modes, and the shared-geometry fast path. The chunk width is a
+:class:`SarGeometry` parameter; the one-shot helpers take a geometry.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ def scene():
     return positions, channels, grid
 
 
+def grid_nodes(grid):
+    gx, gy = grid.meshgrid()
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
 def test_default_chunk_nodes_is_public():
     assert isinstance(DEFAULT_CHUNK_NODES, int)
     assert DEFAULT_CHUNK_NODES >= 1
@@ -40,11 +46,20 @@ def test_default_chunk_nodes_is_public():
 @pytest.mark.parametrize("chunk_nodes", [1, 7, 64, 1000, DEFAULT_CHUNK_NODES])
 def test_heatmap_chunked_vs_unchunked(scene, chunk_nodes):
     positions, channels, grid = scene
+    nodes = grid_nodes(grid)
     reference = sar_heatmap(
-        positions, channels, grid, 915e6, chunk_nodes=grid.n_points
+        positions,
+        channels,
+        grid,
+        915e6,
+        geometry=SarGeometry(positions, nodes, chunk_nodes=grid.n_points),
     )
     chunked = sar_heatmap(
-        positions, channels, grid, 915e6, chunk_nodes=chunk_nodes
+        positions,
+        channels,
+        grid,
+        915e6,
+        geometry=SarGeometry(positions, nodes, chunk_nodes=chunk_nodes),
     )
     np.testing.assert_allclose(
         chunked.values, reference.values, rtol=0.0, atol=1e-12
@@ -56,19 +71,24 @@ def test_profile_chunked_vs_unchunked(scene, chunk_nodes):
     positions, channels, _ = scene
     rng = np.random.default_rng(1)
     points = rng.uniform(-3.0, 3.0, size=(501, 2))
-    reference = sar_profile(
-        positions, channels, points, 915e6, chunk_nodes=len(points)
-    )
-    chunked = sar_profile(
-        positions, channels, points, 915e6, chunk_nodes=chunk_nodes
-    )
+    reference = SarGeometry(
+        positions, points, chunk_nodes=len(points), store_distances=False
+    ).profile(channels, 915e6)
+    chunked = SarGeometry(
+        positions, points, chunk_nodes=chunk_nodes, store_distances=False
+    ).profile(channels, 915e6)
     np.testing.assert_allclose(chunked, reference, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(
+        sar_profile(positions, channels, points, 915e6),
+        reference,
+        rtol=0.0,
+        atol=1e-12,
+    )
 
 
 def test_stored_vs_streamed_distances(scene):
     positions, channels, grid = scene
-    gx, gy = grid.meshgrid()
-    nodes = np.column_stack([gx.ravel(), gy.ravel()])
+    nodes = grid_nodes(grid)
     stored = SarGeometry(positions, nodes, chunk_nodes=97, store_distances=True)
     streamed = SarGeometry(
         positions, nodes, chunk_nodes=97, store_distances=False
@@ -84,7 +104,7 @@ def test_stored_vs_streamed_distances(scene):
 
 def test_shared_geometry_matches_fresh_compute(scene):
     positions, channels, grid = scene
-    geometry = grid_geometry(positions, grid, chunk_nodes=111)
+    geometry = SarGeometry(positions, grid_nodes(grid), chunk_nodes=111)
     shared = sar_heatmap(positions, channels, grid, 915e6, geometry=geometry)
     fresh = sar_heatmap(positions, channels, grid, 915e6)
     np.testing.assert_allclose(
@@ -94,8 +114,7 @@ def test_shared_geometry_matches_fresh_compute(scene):
 
 def test_rssi_mismatch_chunk_invariant(scene):
     positions, _, grid = scene
-    gx, gy = grid.meshgrid()
-    nodes = np.column_stack([gx.ravel(), gy.ravel()])
+    nodes = grid_nodes(grid)
     rng = np.random.default_rng(5)
     ranges_m = rng.uniform(1.0, 5.0, size=len(positions))
     narrow = SarGeometry(positions, nodes, chunk_nodes=13)

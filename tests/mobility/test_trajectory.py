@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import MobilityError
-from repro.mobility import LawnmowerTrajectory, LineTrajectory, WaypointTrajectory
+from repro.mobility import LineTrajectory
 from repro.mobility.trajectory import Trajectory
 
 
@@ -86,34 +86,13 @@ class TestAperture:
             assert -1e-9 <= p[0] <= 5.0 + 1e-9
 
 
-class TestWaypointAndLawnmower:
+class TestWaypoints:
+    """A multi-segment path is the base :class:`Trajectory` itself."""
+
     def test_waypoint_path_length(self):
-        traj = WaypointTrajectory([(0, 0), (1, 0), (1, 1)])
+        traj = Trajectory([(0, 0), (1, 0), (1, 1)], speed_mps=0.5)
         assert traj.length == pytest.approx(2.0)
 
     def test_waypoint_interpolation_across_segments(self):
-        traj = WaypointTrajectory([(0, 0), (1, 0), (1, 1)])
+        traj = Trajectory([(0, 0), (1, 0), (1, 1)], speed_mps=0.5)
         np.testing.assert_allclose(traj.position_at(1.5), [1.0, 0.5])
-
-    def test_lawnmower_covers_area(self):
-        traj = LawnmowerTrajectory((0, 0), width_m=10.0, depth_m=6.0,
-                                   lane_spacing_m=2.0)
-        assert traj.n_lanes == 4
-        xs = np.array([w[0] for w in traj.waypoints])
-        ys = np.array([w[1] for w in traj.waypoints])
-        assert xs.min() == 0.0 and xs.max() == 10.0
-        assert ys.min() == 0.0 and ys.max() == 6.0
-
-    def test_lawnmower_alternates_direction(self):
-        traj = LawnmowerTrajectory((0, 0), 4.0, 4.0, lane_spacing_m=2.0)
-        # Lane 0 runs left->right, lane 1 right->left.
-        assert traj.waypoints[0][0] == 0.0
-        assert traj.waypoints[1][0] == 4.0
-        assert traj.waypoints[2][0] == 4.0
-        assert traj.waypoints[3][0] == 0.0
-
-    def test_invalid_lawnmower(self):
-        with pytest.raises(MobilityError):
-            LawnmowerTrajectory((0, 0), -1.0, 4.0)
-        with pytest.raises(MobilityError):
-            LawnmowerTrajectory((0, 0), 4.0, 4.0, lane_spacing_m=0.0)

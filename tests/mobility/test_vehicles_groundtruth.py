@@ -21,7 +21,7 @@ class TestDrone:
     def test_battery_fraction_under_3_percent(self):
         """Paper §6.2: the relay draws <3% of the battery's current."""
         drone = Drone(payload_power_w=RELAY_POWER_CONSUMPTION_W)
-        assert drone.payload_battery_fraction < 0.03
+        assert drone.payload_current_a / drone.battery_max_current_a < 0.03
         assert drone.payload_current_a == pytest.approx(5.8 / 12.0)
 
     def test_fly_samples_with_jitter(self):

@@ -10,7 +10,6 @@ from repro.reader.channel_estimation import (
     align_to_preamble,
     codec_for,
     estimate_channel,
-    find_reply_start,
     project_to_real,
 )
 
@@ -119,25 +118,3 @@ class TestAlignment:
         sig = synth_reply((1, 0), 1e-3)
         with pytest.raises(SignalError):
             align_to_preamble(sig, PARAMS, 0, -1)
-
-    def test_find_reply_start_energy_detector(self):
-        bits = (1, 0, 1, 0) * 8
-        h = 1e-3
-        clean = synth_reply(bits, h)
-        shift = 100
-        padded = Signal(
-            np.concatenate(
-                [
-                    np.zeros(shift, dtype=complex),
-                    clean.samples,
-                    np.zeros(200, dtype=complex),
-                ]
-            ),
-            FS,
-        )
-        found = find_reply_start(padded, PARAMS, len(bits))
-        assert abs(found - shift) <= 24  # within a half-symbol
-
-    def test_find_reply_start_too_short(self):
-        with pytest.raises(EncodingError):
-            find_reply_start(Signal(np.zeros(10, dtype=complex), FS), PARAMS, 128)

@@ -22,7 +22,6 @@ class TestChainPlan:
         assert plan.hop_frequency_hz(0) == F
         assert plan.hop_frequency_hz(3) == F + 3e6
         assert plan.tag_frequency_hz == F + 3e6
-        assert plan.band_span_hz() == 3e6
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -6,7 +6,7 @@ import pytest
 from repro.constants import UHF_BAND_START, UHF_BAND_STOP
 from repro.dsp import Signal, awgn, tone
 from repro.errors import ConfigurationError, FrequencyLockError
-from repro.relay import FrequencyDiscovery, HoppingPattern
+from repro.relay import FrequencyDiscovery
 from repro.relay.freq_discovery import ism_channels
 
 FS = 64e6
@@ -91,43 +91,3 @@ class TestDiscovery:
             FrequencyDiscovery(total_sweep_seconds=-1.0)
         with pytest.raises(ConfigurationError):
             FrequencyDiscovery(min_peak_ratio=0.5)
-
-
-class TestHopping:
-    def test_random_pattern_covers_all_channels(self):
-        pattern = HoppingPattern.random(np.random.default_rng(0))
-        assert sorted(pattern.channels) == sorted(ism_channels().tolist())
-
-    def test_channel_at_dwells(self):
-        pattern = HoppingPattern.random(np.random.default_rng(1))
-        assert pattern.channel_at(0.0) == pattern.channels[0]
-        assert pattern.channel_at(pattern.dwell_seconds * 1.5) == pattern.channels[1]
-
-    def test_wraps_around(self):
-        pattern = HoppingPattern.random(np.random.default_rng(2))
-        t = pattern.dwell_seconds * len(pattern.channels)
-        assert pattern.channel_at(t) == pattern.channels[0]
-
-    def test_next_after(self):
-        pattern = HoppingPattern.random(np.random.default_rng(3))
-        assert pattern.next_after(pattern.channels[0]) == pattern.channels[1]
-        assert pattern.next_after(pattern.channels[-1]) == pattern.channels[0]
-
-    def test_unknown_channel_rejected(self):
-        pattern = HoppingPattern.random(np.random.default_rng(4))
-        with pytest.raises(FrequencyLockError):
-            pattern.index_of(2.4e9)
-
-    def test_track_predicts_future_channel(self):
-        """Once locked, the relay follows the hopping pattern (§4.2 fn 3)."""
-        pattern = HoppingPattern.random(np.random.default_rng(5))
-        fd = FrequencyDiscovery()
-        locked = pattern.channels[7]
-        t = 3.2 * pattern.dwell_seconds
-        assert fd.track(locked, pattern, t) == pattern.channels[10]
-
-    def test_invalid_dwell(self):
-        with pytest.raises(ConfigurationError):
-            HoppingPattern(channels=(915e6,), dwell_seconds=1.0)
-        with pytest.raises(ConfigurationError):
-            HoppingPattern(channels=())

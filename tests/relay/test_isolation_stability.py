@@ -51,14 +51,6 @@ class TestIsolationMeasurement:
         assert report.intra_downlink_db == pytest.approx(77.0, abs=8.0)
         assert report.intra_uplink_db == pytest.approx(64.0, abs=8.0)
 
-    def test_worst_is_min(self, report):
-        assert report.worst_db == min(
-            report.inter_downlink_db,
-            report.inter_uplink_db,
-            report.intra_downlink_db,
-            report.intra_uplink_db,
-        )
-
     def test_single_path_measurement_matches_report(self, relay, report):
         value = measure_isolation_db(relay, LeakagePath.INTER_DOWNLINK)
         assert value == pytest.approx(report.inter_downlink_db, abs=0.5)

@@ -95,11 +95,14 @@ class TestRelayConfig:
 class TestMirroredRelay:
     def test_structure_is_mirrored(self):
         relay = MirroredRelay(F1, rng=np.random.default_rng(0))
-        assert relay.round_trip_phase_is_mirrored()
+        # The four mixers share two synthesizers.
+        assert relay.downlink.lo_in is relay.uplink.lo_out
+        assert relay.downlink.lo_out is relay.uplink.lo_in
 
     def test_no_mirror_is_not(self):
         relay = NoMirrorRelay(F1, rng=np.random.default_rng(0))
-        assert not relay.round_trip_phase_is_mirrored()
+        assert relay.downlink.lo_in is not relay.uplink.lo_out
+        assert relay.downlink.lo_out is not relay.uplink.lo_in
 
     def test_downlink_uplink_frequencies(self):
         relay = MirroredRelay(F1, rng=np.random.default_rng(0))

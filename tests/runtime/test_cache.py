@@ -101,10 +101,9 @@ class TestResultCache:
         # No stray temp files left behind.
         assert not list(tmp_path.glob("**/.tmp-*"))
 
-    def test_len_and_clear(self, tmp_path):
+    def test_len_counts_stored_payloads(self, tmp_path):
         cache = ResultCache(tmp_path)
+        assert len(cache) == 0
         for seed in range(5):
             cache.store(cache_key(_task(seed=seed)), seed)
         assert len(cache) == 5
-        assert cache.clear() == 5
-        assert len(cache) == 0

@@ -17,12 +17,7 @@ class TestServeConfig:
 
     def test_degrade_threshold_defaults_to_half_the_slo(self):
         config = ServeConfig(frequency_hz=F, latency_slo_s=0.4)
-        assert config.degrade_after_s == pytest.approx(0.2)
         assert config.degrade_threshold_s == pytest.approx(0.2)
-
-    def test_explicit_degrade_threshold_wins(self):
-        config = ServeConfig(frequency_hz=F, degrade_after_s=0.05)
-        assert config.degrade_threshold_s == pytest.approx(0.05)
 
     def test_batch_cost_is_overhead_plus_rate(self):
         config = ServeConfig(
@@ -38,15 +33,15 @@ class TestServeConfig:
         [
             {"frequency_hz": 0.0},
             {"latency_slo_s": 0.0},
-            {"degrade_after_s": -1.0},
             {"queue_capacity": 0},
             {"max_batch_poses": 0},
             {"catchup_poses": -1},
             {"service_rate_nodes_per_s": 0.0},
             {"batch_overhead_s": -0.1},
-            {"degraded_resolution_factor": 0.5},
             {"session_ttl_s": 0.0},
             {"max_sessions": 0},
+            {"reference_timeout_s": 0.0},
+            {"capacity_mode": "elastic"},
         ],
     )
     def test_invalid_parameters_are_rejected(self, overrides):

@@ -78,7 +78,7 @@ def make_grid():
 
 class TestIngestRetry:
     def test_transient_drops_recovered_within_budget(self):
-        service = make_service(ingest_retries=2)
+        service = make_service()
         service.open_session("a", make_grid())
         m = make_measurements(2)[0]
         plan = FaultPlan.single("serve.ingest", "drop", max_injections=2)
@@ -92,7 +92,7 @@ class TestIngestRetry:
         assert report.mean_recovery_latency_s == pytest.approx(0.015)
 
     def test_exhausted_retries_reject_loudly(self):
-        service = make_service(ingest_retries=2)
+        service = make_service()
         service.open_session("a", make_grid())
         m = make_measurements(2)[0]
         plan = FaultPlan.single("serve.ingest", "drop")  # every attempt

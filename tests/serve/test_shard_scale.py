@@ -63,7 +63,7 @@ class TestLargeRings:
     def test_scale_out_from_m12_only_steals(self):
         keys = [f"tag-{index:05d}" for index in range(2000)]
         ring = ShardRing(12)
-        grown = ring.with_shard("shard-12")
+        grown = ShardRing(ring.shard_ids + ("shard-12",))
         stolen = 0
         for key in keys:
             before = ring.route(key)
@@ -74,13 +74,13 @@ class TestLargeRings:
 
     def test_churn_round_trip_restores_routing(self):
         ring = ShardRing(14)
-        rebuilt = ring.without("shard-03").with_shard("shard-03")
+        rebuilt = ShardRing(ring.without("shard-03").shard_ids + ("shard-03",))
         keys = [f"tag-{index:04d}" for index in range(500)]
         assert ring.table(keys) == rebuilt.table(keys)
 
     def test_duplicate_shard_rejected_on_big_ring(self):
-        with pytest.raises(ConfigurationError, match="duplicate"):
-            ShardRing(12).with_shard("shard-05")
+        with pytest.raises(ConfigurationError, match="unique"):
+            ShardRing(ShardRing(12).shard_ids + ("shard-05",))
 
 
 def _report(**overrides) -> ServiceReport:
@@ -142,7 +142,6 @@ class TestHeterogeneousHandoffMerge:
         assert merged.latency_samples_s == (
             0.004, 0.01, 0.02, 0.02, 0.03, 0.05
         )
-        assert merged.max_latency_s == 0.05
         assert merged.mean_recovery_latency_s == 0.5
         assert merged.busy_s == 2.0  # makespan, not a sum
 
